@@ -11,7 +11,9 @@ Each run leaves two artefacts next to this file:
 * ``BENCH_<preset>.json`` — machine-readable per-test timings (from
   pytest-benchmark's stats) plus any custom metrics benches record via
   :func:`record_metric`, stamped with preset / seed / timestamp, so the
-  perf trajectory across PRs can be diffed and plotted.
+  perf trajectory across changes can be diffed and plotted.  Each session
+  merges its entries into the file by test name, so running a subset of
+  the benches updates those entries and keeps every other one.
 """
 
 from __future__ import annotations
@@ -69,6 +71,42 @@ def _stats_of(bench) -> dict:
     return out
 
 
+def session_results(config, custom: dict[str, dict] = _CUSTOM_METRICS) -> dict[str, dict]:
+    """Per-test entries of one pytest session: timing stats plus custom metrics."""
+    tests: dict[str, dict] = {}
+    session = getattr(config, "_benchmarksession", None)
+    for bench in getattr(session, "benchmarks", []) or []:
+        name = getattr(bench, "name", None)
+        if name:
+            tests[name] = _stats_of(bench)
+    for name, metrics in custom.items():
+        tests.setdefault(name, {}).update(metrics)
+    return tests
+
+
+def merge_results(path: Path, tests: dict[str, dict]) -> None:
+    """Write ``tests`` into the JSON file at ``path``, keeping other tests' entries.
+
+    An entry for a test that ran replaces that test's old entry whole;
+    entries of tests that did not run this session are left as they were.
+    """
+    merged = json.loads(path.read_text()).get("tests", {}) if path.exists() else {}
+    merged.update(tests)
+    path.write_text(
+        json.dumps(
+            {
+                "preset": BENCH_PRESET,
+                "seed": BENCH_SEED,
+                "timestamp": time.time(),
+                "tests": merged,
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _fresh_report(request):
     REPORT_PATH.write_text(
@@ -76,27 +114,7 @@ def _fresh_report(request):
         f"(preset={BENCH_PRESET}, seed={BENCH_SEED})\n"
     )
     yield
-    tests: dict[str, dict] = {}
-    session = getattr(request.config, "_benchmarksession", None)
-    for bench in getattr(session, "benchmarks", []) or []:
-        name = getattr(bench, "name", None)
-        if name:
-            tests[name] = _stats_of(bench)
-    for name, metrics in _CUSTOM_METRICS.items():
-        tests.setdefault(name, {}).update(metrics)
-    JSON_PATH.write_text(
-        json.dumps(
-            {
-                "preset": BENCH_PRESET,
-                "seed": BENCH_SEED,
-                "timestamp": time.time(),
-                "tests": tests,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    merge_results(JSON_PATH, session_results(request.config))
 
 
 def report(text: str) -> None:

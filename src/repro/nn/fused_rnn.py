@@ -6,8 +6,8 @@ training step touches ~1500 Python closures, which dominates wall time
 on small models.  This module implements the same math as one primitive
 with a hand-written backward-through-time, cutting the per-step node
 count to one per layer.  The whole gate chain (two matmuls, three
-sigmoids, two tanhs and the cell update) lives in one kernel — this is
-the "fused LSTM-gate chain" the compiled replay path reuses verbatim.
+sigmoids, two tanhs and the cell update) runs in one Python loop over
+time, with the backward reading gate activations cached by the forward.
 
 Semantics: gradients flow through the returned *output sequence* only.
 The final (h, c) values are returned as plain arrays for state
@@ -49,57 +49,6 @@ def _as_state_array(state: "np.ndarray | Tensor | None", batch: int, hidden: int
             )
         state = state.data
     return np.asarray(state, dtype=np.float64)
-
-
-def _lstm_forward_kernel(
-    x_data: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    b: np.ndarray,
-    h: np.ndarray,
-    c: np.ndarray,
-    gates_x: np.ndarray,
-    outputs: np.ndarray,
-    caches: dict[str, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the gate chain, filling ``outputs`` / ``caches`` in place.
-
-    Shared by the eager op (fresh buffers) and the compiled replay path
-    (record-time buffers) so both produce bit-identical activations.
-    ``h`` / ``c`` are read, never written.  Returns the final state.
-    """
-    steps = x_data.shape[1]
-    hidden = w_hh.shape[1]
-    # Input contribution for every step at once: (B, T, 4H).
-    np.matmul(x_data, w_ih.T, out=gates_x)
-    gates_x += b
-    i_cache = caches["i"]
-    f_cache = caches["f"]
-    g_cache = caches["g"]
-    o_cache = caches["o"]
-    c_prev_cache = caches["c_prev"]
-    tanh_c_cache = caches["tanh_c"]
-    h_prev_cache = caches["h_prev"]
-
-    for t in range(steps):
-        gates = gates_x[:, t, :] + h @ w_hh.T
-        i_gate = _sigmoid(gates[:, 0 * hidden : 1 * hidden])
-        f_gate = _sigmoid(gates[:, 1 * hidden : 2 * hidden])
-        g_gate = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-        o_gate = _sigmoid(gates[:, 3 * hidden : 4 * hidden])
-        c_prev_cache[:, t] = c
-        h_prev_cache[:, t] = h
-        c = f_gate * c + i_gate * g_gate
-        tanh_c = np.tanh(c)
-        h = o_gate * tanh_c
-        outputs[:, t] = h
-        i_cache[:, t] = i_gate
-        f_cache[:, t] = f_gate
-        g_cache[:, t] = g_gate
-        o_cache[:, t] = o_gate
-        tanh_c_cache[:, t] = tanh_c
-
-    return h.copy(), c.copy()
 
 
 def lstm_layer_forward(
@@ -147,24 +96,32 @@ def lstm_layer_forward(
     h = _as_state_array(h0, batch, hidden, "h0")
     c = _as_state_array(c0, batch, hidden, "c0")
 
-    gates_x = np.empty((batch, steps, 4 * hidden), dtype=np.float64)
+    # Input contribution for every step at once: (B, T, 4H).
+    gates_x = x_data @ w_ih.T
+    gates_x += b
     outputs = np.empty((batch, steps, hidden), dtype=np.float64)
-    # Caches for backward (refreshed in place on compiled replay).
-    caches = {
-        name: np.empty((batch, steps, hidden), dtype=np.float64)
-        for name in ("i", "f", "g", "o", "c_prev", "tanh_c", "h_prev")
-    }
-
-    h_final, c_final = _lstm_forward_kernel(
-        x_data, w_ih, w_hh, b, h, c, gates_x, outputs, caches
+    # Gate activations and carried state, cached for backward.
+    i_cache, f_cache, g_cache, o_cache, c_prev_cache, tanh_c_cache, h_prev_cache = (
+        np.empty((batch, steps, hidden), dtype=np.float64) for _ in range(7)
     )
-    i_cache = caches["i"]
-    f_cache = caches["f"]
-    g_cache = caches["g"]
-    o_cache = caches["o"]
-    c_prev_cache = caches["c_prev"]
-    tanh_c_cache = caches["tanh_c"]
-    h_prev_cache = caches["h_prev"]
+
+    for t in range(steps):
+        gates = gates_x[:, t, :] + h @ w_hh.T
+        i_gate = _sigmoid(gates[:, 0 * hidden : 1 * hidden])
+        f_gate = _sigmoid(gates[:, 1 * hidden : 2 * hidden])
+        g_gate = np.tanh(gates[:, 2 * hidden : 3 * hidden])
+        o_gate = _sigmoid(gates[:, 3 * hidden : 4 * hidden])
+        c_prev_cache[:, t] = c
+        h_prev_cache[:, t] = h
+        c = f_gate * c + i_gate * g_gate
+        tanh_c = np.tanh(c)
+        h = o_gate * tanh_c
+        outputs[:, t] = h
+        i_cache[:, t] = i_gate
+        f_cache[:, t] = f_gate
+        g_cache[:, t] = g_gate
+        o_cache[:, t] = o_gate
+        tanh_c_cache[:, t] = tanh_c
 
     def backward(grad_out: np.ndarray):
         """BPTT over the cached gate activations."""
@@ -204,11 +161,5 @@ def lstm_layer_forward(
 
         return grad_x, grad_w_ih, grad_w_hh, grad_b
 
-    out = Tensor._make(
-        outputs,
-        (x, weight_ih, weight_hh, bias),
-        backward,
-        "lstm_fused",
-        {"gates_x": gates_x, "caches": caches, "h0": h.copy(), "c0": c.copy()},
-    )
-    return out, h_final, c_final
+    out = Tensor._make(outputs, (x, weight_ih, weight_hh, bias), backward, "lstm_fused")
+    return out, h.copy(), c.copy()

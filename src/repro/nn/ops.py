@@ -7,11 +7,6 @@ convolution and pooling, and a few composite helpers (softmax, where).
 The convolution forward/backward pair is implemented as a single primitive
 (rather than composed from indexing ops) because the im2col/col2im
 formulation is orders of magnitude faster in numpy.
-
-Forward computations with derived state (convolution patch matrices,
-pooling argmaxes) are factored into ``_*_forward`` helpers shared with
-:mod:`repro.nn.compile`, so a compiled replay recomputes bit-identical
-values and refreshes the arrays the backward closures captured.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(grad, boundaries, axis=axis))
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    return Tensor._make(data, tensors, backward, "concat", {"axis": axis})
+    return Tensor._make(data, tensors, backward, "concat")
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -60,7 +55,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(p.squeeze(axis) for p in pieces)
 
     data = np.stack([t.data for t in tensors], axis=axis)
-    return Tensor._make(data, tensors, backward, "stack", {"axis": axis})
+    return Tensor._make(data, tensors, backward, "stack")
 
 
 def pad2d(x: Tensor, padding: int | tuple[int, int]) -> Tensor:
@@ -76,7 +71,7 @@ def pad2d(x: Tensor, padding: int | tuple[int, int]) -> Tensor:
         )
         return (grad[slicer],)
 
-    return Tensor._make(np.pad(x.data, pads), (x,), backward, "pad2d", {"pads": pads})
+    return Tensor._make(np.pad(x.data, pads), (x,), backward, "pad2d")
 
 
 # ---------------------------------------------------------------------------
@@ -125,31 +120,6 @@ def col2im(
     return grad_x
 
 
-def _conv2d_forward(
-    x_data: np.ndarray,
-    w_data: np.ndarray,
-    bias_data: np.ndarray | None,
-    stride: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int]]:
-    """The conv2d forward math, shared by the eager op and replay.
-
-    Returns ``(out, cols_flat, w_mat, (k_dim, length, out_h, out_w))``.
-    """
-    n = x_data.shape[0]
-    c_out, _, kh, kw = w_data.shape
-    cols, out_h, out_w = im2col(x_data, (kh, kw), stride)  # (N, C*kh*kw, L)
-    k_dim = cols.shape[1]
-    length = cols.shape[2]
-    w_mat = w_data.reshape(c_out, -1)  # (C_out, C*kh*kw)
-    # (N*L, K) @ (K, C_out) keeps everything in BLAS.
-    cols_flat = cols.transpose(0, 2, 1).reshape(n * length, k_dim)
-    out = (cols_flat @ w_mat.T).reshape(n, length, c_out).transpose(0, 2, 1)
-    out = np.ascontiguousarray(out).reshape(n, c_out, out_h, out_w)
-    if bias_data is not None:
-        out = out + bias_data.reshape(1, c_out, 1, 1)
-    return out, cols_flat, w_mat, (k_dim, length, out_h, out_w)
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -172,9 +142,16 @@ def conv2d(
     if c_in != c_in_w:
         raise ValueError(f"channel mismatch: input has {c_in}, weight expects {c_in_w}")
 
-    out, cols_flat, w_mat, (k_dim, length, _, _) = _conv2d_forward(
-        x_data, w_data, None if bias is None else bias.data, stride
-    )
+    cols, out_h, out_w = im2col(x_data, (kh, kw), stride)  # (N, C*kh*kw, L)
+    k_dim = cols.shape[1]
+    length = cols.shape[2]
+    w_mat = w_data.reshape(c_out, -1)  # (C_out, C*kh*kw)
+    # (N*L, K) @ (K, C_out) keeps everything in BLAS.
+    cols_flat = cols.transpose(0, 2, 1).reshape(n * length, k_dim)
+    out = (cols_flat @ w_mat.T).reshape(n, length, c_out).transpose(0, 2, 1)
+    out = np.ascontiguousarray(out).reshape(n, c_out, out_h, out_w)
+    if bias is not None:
+        out = out + bias.data.reshape(1, c_out, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -189,19 +166,7 @@ def conv2d(
         grad_b = grad_2d.sum(axis=0)
         return grad_x, grad_w, grad_b
 
-    return Tensor._make(out, parents, backward, "conv2d", {"cols_flat": cols_flat, "stride": stride})
-
-
-def _max_pool_forward(
-    x_data: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Max-pool forward math; returns ``(out, argmax, out_h, out_w)``."""
-    n, c = x_data.shape[:2]
-    cols, out_h, out_w = im2col(x_data, kernel, stride)
-    cols = cols.reshape(n, c, kernel[0] * kernel[1], out_h * out_w)
-    arg = cols.argmax(axis=2)  # (N, C, L)
-    out = np.take_along_axis(cols, arg[:, :, None, :], axis=2).squeeze(2)
-    return out.reshape(n, c, out_h, out_w), arg, out_h, out_w
+    return Tensor._make(out, parents, backward, "conv2d")
 
 
 def max_pool2d(x: Tensor, kernel: int | tuple[int, int], stride: int | tuple[int, int] | None = None) -> Tensor:
@@ -210,7 +175,11 @@ def max_pool2d(x: Tensor, kernel: int | tuple[int, int], stride: int | tuple[int
     stride = kernel if stride is None else ((stride, stride) if isinstance(stride, int) else tuple(stride))
     x_data = x.data
     n, c, h, w = x_data.shape
-    out, arg, out_h, out_w = _max_pool_forward(x_data, kernel, stride)
+    cols, out_h, out_w = im2col(x_data, kernel, stride)
+    cols = cols.reshape(n, c, kernel[0] * kernel[1], out_h * out_w)
+    arg = cols.argmax(axis=2)  # (N, C, L)
+    out = np.take_along_axis(cols, arg[:, :, None, :], axis=2).squeeze(2)
+    out = out.reshape(n, c, out_h, out_w)
 
     def backward(grad):
         grad_flat = grad.reshape(n, c, -1)
@@ -219,17 +188,7 @@ def max_pool2d(x: Tensor, kernel: int | tuple[int, int], stride: int | tuple[int
         grad_cols = grad_cols.reshape(n, c * kernel[0] * kernel[1], out_h * out_w)
         return (col2im(grad_cols, x_data.shape, kernel, stride),)
 
-    return Tensor._make(out, (x,), backward, "max_pool2d", {"kernel": kernel, "stride": stride, "arg": arg})
-
-
-def _avg_pool_forward(
-    x_data: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]
-) -> np.ndarray:
-    """Average-pool forward math (no derived state)."""
-    n, c = x_data.shape[:2]
-    cols, out_h, out_w = im2col(x_data, kernel, stride)
-    cols = cols.reshape(n, c, kernel[0] * kernel[1], out_h * out_w)
-    return cols.mean(axis=2).reshape(n, c, out_h, out_w)
+    return Tensor._make(out, (x,), backward, "max_pool2d")
 
 
 def avg_pool2d(x: Tensor, kernel: int | tuple[int, int], stride: int | tuple[int, int] | None = None) -> Tensor:
@@ -239,8 +198,8 @@ def avg_pool2d(x: Tensor, kernel: int | tuple[int, int], stride: int | tuple[int
     x_data = x.data
     n, c, h, w = x_data.shape
     area = kernel[0] * kernel[1]
-    out = _avg_pool_forward(x_data, kernel, stride)
-    out_h, out_w = out.shape[2], out.shape[3]
+    cols, out_h, out_w = im2col(x_data, kernel, stride)
+    out = cols.reshape(n, c, area, out_h * out_w).mean(axis=2).reshape(n, c, out_h, out_w)
 
     def backward(grad):
         grad_flat = grad.reshape(n, c, 1, -1) / area
@@ -248,7 +207,7 @@ def avg_pool2d(x: Tensor, kernel: int | tuple[int, int], stride: int | tuple[int
         grad_cols = grad_cols.reshape(n, c * area, out_h * out_w)
         return (col2im(np.ascontiguousarray(grad_cols), x_data.shape, kernel, stride),)
 
-    return Tensor._make(out, (x,), backward, "avg_pool2d", {"kernel": kernel, "stride": stride})
+    return Tensor._make(out, (x,), backward, "avg_pool2d")
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -259,7 +218,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     def backward(grad):
         return grad * cond, grad * ~cond
 
-    return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward, "where", {"cond": cond})
+    return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward, "where")
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -270,16 +229,15 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     def backward(grad):
         return grad * mask, grad * ~mask
 
-    return Tensor._make(np.maximum(a.data, b.data), (a, b), backward, "maximum", {"mask": mask})
+    return Tensor._make(np.maximum(a.data, b.data), (a, b), backward, "maximum")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along ``axis``.
 
-    Composite (not a primitive): the shift constant is a fresh untraced
-    Tensor derived from the input *values*, so graphs through softmax
-    are not replayable by :mod:`repro.nn.compile` — its validation pass
-    detects the stale constant and falls back to eager execution.
+    Composite (not a primitive): the shift constant is a detached Tensor
+    of the input's max, which leaves the gradient unchanged because
+    softmax is shift-invariant.
     """
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
@@ -287,6 +245,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(x)) computed stably (see softmax on replayability)."""
+    """log(softmax(x)) computed stably (same detached shift as softmax)."""
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()

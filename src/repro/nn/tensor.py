@@ -8,9 +8,9 @@ reverse-mode backpropagation over a topological ordering of that graph.
 
 Only float64 arrays flow through the graph — ``Tensor`` promotes every
 other dtype on construction and :meth:`Tensor._make` rejects non-float64
-op results, so the preallocated replay buffers of :mod:`repro.nn.compile`
-can never bake in a mixed-precision graph.  Gradients are plain numpy
-arrays stored on leaf (and, on request, interior) tensors.
+op results, so no op can silently drop precision mid-graph.  Gradients
+are plain numpy arrays stored on leaf (and, on request, interior)
+tensors.
 
 Example
 -------
@@ -32,20 +32,6 @@ import numpy as np
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
 
 _GRAD_ENABLED = True
-
-#: Callable invoked for every op result while recording, or None.
-#: Installed by :mod:`repro.nn.compile`; receives ``(out, parents, op,
-#: meta)`` where ``meta`` is the op's static/derived replay state.
-#: Parents and op are passed explicitly because *value* nodes (no
-#: grad-requiring parent) carry no tape yet still need replaying — e.g.
-#: concatenating a detached sequence with a condition input.
-_TRACE_HOOK: Callable[..., None] | None = None
-
-
-def _set_trace_hook(hook: Callable[..., None] | None) -> None:
-    """Install (or clear, with None) the graph-recording hook."""
-    global _TRACE_HOOK
-    _TRACE_HOOK = hook
 
 
 @contextlib.contextmanager
@@ -100,7 +86,7 @@ class Tensor:
         Anything ``numpy.asarray`` accepts.  Every dtype other than
         float64 (ints, bools, float32, ...) is promoted to float64: the
         substrate pins a single dtype policy so gradients are
-        well-defined and replay buffers are homogeneous.  float64 input
+        well-defined.  float64 input
         is wrapped without a copy (``detach()`` relies on the shared
         buffer).
     requires_grad:
@@ -109,7 +95,7 @@ class Tensor:
     """
 
     __slots__ = (
-        "data", "grad", "requires_grad", "_backward", "_parents", "_op", "_grad_buf"
+        "data", "grad", "requires_grad", "_backward", "_parents", "_grad_buf"
     )
 
     def __init__(self, data, requires_grad: bool = False):
@@ -127,7 +113,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._op: str = ""
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -185,14 +170,8 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
         op: str = "",
-        meta: dict | None = None,
     ) -> "Tensor":
         """Create a graph node; drops the tape when grad is disabled.
-
-        ``meta`` carries the op's replay state for :mod:`repro.nn.compile`:
-        static arguments (axes, bounds) plus any *derived* arrays the
-        backward closure captured (masks, scales) so a replay can refresh
-        them in place.  It is ignored on the eager path.
 
         Every op must produce float64 — the one dtype the substrate
         allows through the graph (leaf construction promotes, so a
@@ -205,14 +184,10 @@ class Tensor:
                 "repro.nn pins a single float64 policy for all graph nodes"
             )
         out = cls(array)
-        if _GRAD_ENABLED:
-            if any(p.requires_grad for p in parents):
-                out.requires_grad = True
-                out._parents = tuple(parents)
-                out._backward = backward
-                out._op = op
-            if _TRACE_HOOK is not None:
-                _TRACE_HOOK(out, tuple(parents), op, meta)
+        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -372,7 +347,7 @@ class Tensor:
         def backward(grad):
             return (grad * exponent * np.power(a, exponent - 1),)
 
-        return Tensor._make(np.power(a, exponent), (self,), backward, "pow", {"exponent": exponent})
+        return Tensor._make(np.power(a, exponent), (self,), backward, "pow")
 
     # ------------------------------------------------------------------
     # Matrix ops
@@ -448,7 +423,7 @@ class Tensor:
         def backward(grad):
             return (grad * mask,)
 
-        return Tensor._make(self.data * mask, (self,), backward, "relu", {"mask": mask})
+        return Tensor._make(self.data * mask, (self,), backward, "relu")
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         mask = self.data > 0
@@ -457,13 +432,7 @@ class Tensor:
         def backward(grad):
             return (grad * scale,)
 
-        return Tensor._make(
-            self.data * scale,
-            (self,),
-            backward,
-            "leaky_relu",
-            {"scale": scale, "slope": negative_slope},
-        )
+        return Tensor._make(self.data * scale, (self,), backward, "leaky_relu")
 
     def abs(self) -> "Tensor":
         # Treat 0 as positive so composite losses (e.g. BCE-with-logits,
@@ -473,7 +442,7 @@ class Tensor:
         def backward(grad):
             return (grad * sign,)
 
-        return Tensor._make(np.abs(self.data), (self,), backward, "abs", {"sign": sign})
+        return Tensor._make(np.abs(self.data), (self,), backward, "abs")
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient is passed through inside the interval."""
@@ -482,13 +451,7 @@ class Tensor:
         def backward(grad):
             return (grad * mask,)
 
-        return Tensor._make(
-            np.clip(self.data, low, high),
-            (self,),
-            backward,
-            "clip",
-            {"mask": mask, "low": low, "high": high},
-        )
+        return Tensor._make(np.clip(self.data, low, high), (self,), backward, "clip")
 
     # ------------------------------------------------------------------
     # Reductions
@@ -505,11 +468,7 @@ class Tensor:
             return (np.broadcast_to(g, shape).copy(),)
 
         return Tensor._make(
-            self.data.sum(axis=axis, keepdims=keepdims),
-            (self,),
-            backward,
-            "sum",
-            {"axis": axis, "keepdims": keepdims},
+            self.data.sum(axis=axis, keepdims=keepdims), (self,), backward, "sum"
         )
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -529,11 +488,7 @@ class Tensor:
             return (np.broadcast_to(g, shape).copy(),)
 
         return Tensor._make(
-            self.data.mean(axis=axis, keepdims=keepdims),
-            (self,),
-            backward,
-            "mean",
-            {"axis": axis, "keepdims": keepdims},
+            self.data.mean(axis=axis, keepdims=keepdims), (self,), backward, "mean"
         )
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -551,7 +506,7 @@ class Tensor:
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             return (g * mask / counts,)
 
-        return Tensor._make(out_data, (self,), backward, "max", {"axis": axis, "keepdims": keepdims})
+        return Tensor._make(out_data, (self,), backward, "max")
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -576,7 +531,7 @@ class Tensor:
         def backward(grad):
             return (grad.transpose(inverse),)
 
-        return Tensor._make(self.data.transpose(axes), (self,), backward, "transpose", {"axes": axes})
+        return Tensor._make(self.data.transpose(axes), (self,), backward, "transpose")
 
     @property
     def T(self) -> "Tensor":
@@ -590,7 +545,7 @@ class Tensor:
             np.add.at(full, index, grad)
             return (full,)
 
-        return Tensor._make(self.data[index], (self,), backward, "getitem", {"index": index})
+        return Tensor._make(self.data[index], (self,), backward, "getitem")
 
     def squeeze(self, axis: int | None = None) -> "Tensor":
         original = self.data.shape

@@ -397,10 +397,6 @@ class ForecastService:
         self.telemetry.counter("checkpoint_swaps").inc()
         return model
 
-    def load_checkpoint(self, directory: str | Path) -> APOTS:
-        """Back-compat alias for :meth:`swap_checkpoint`."""
-        return self.swap_checkpoint(directory)
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """One dict with everything an operator dashboard would scrape.

@@ -96,6 +96,24 @@ class TestBackward:
         (x * 2.0).sum().backward()
         np.testing.assert_allclose(x.grad, [4.0])
 
+    def test_grad_accumulates_through_mlp_graph(self):
+        # Two backward passes over one MLP graph double the input and
+        # every parameter gradient, bit for bit.
+        def grads(passes):
+            net = nn.Sequential(
+                nn.Linear(4, 5, rng=np.random.default_rng(11)),
+                nn.ReLU(),
+                nn.Linear(5, 1, rng=np.random.default_rng(12)),
+            )
+            x = nn.Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4), requires_grad=True)
+            out = net(x).sum()
+            for _ in range(passes):
+                out.backward()
+            return [x.grad] + [p.grad for p in net.parameters()]
+
+        for once, twice in zip(grads(1), grads(2)):
+            assert np.array_equal(twice, 2.0 * once)
+
     def test_zero_grad(self):
         x = nn.Tensor([1.0], requires_grad=True)
         (x * 2.0).sum().backward()

@@ -144,7 +144,7 @@ class TestCheckpointServing:
         replay(service, tiny_series, range(15))
         before = service.predict(4)
         assert len(service.cache) == 1
-        service.load_checkpoint(tmp_path / "b")
+        service.swap_checkpoint(tmp_path / "b")
         assert len(service.cache) == 0  # stale forecasts dropped
         after = service.predict(4)
         assert after.speed_kmh != before.speed_kmh  # different weights serve
@@ -189,7 +189,7 @@ class TestCheckpointServing:
         )
         save_model(other, tmp_path / "bad")
         with pytest.raises(ValueError, match="geometry"):
-            warm_service.load_checkpoint(tmp_path / "bad")
+            warm_service.swap_checkpoint(tmp_path / "bad")
 
     def test_swap_rejects_scalerless_checkpoint(
         self, warm_service, served_model, tmp_path
@@ -200,7 +200,7 @@ class TestCheckpointServing:
         manifest.pop("scalers")
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="scaler state"):
-            warm_service.load_checkpoint(path)
+            warm_service.swap_checkpoint(path)
 
 
 class TestTelemetry:

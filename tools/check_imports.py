@@ -46,8 +46,6 @@ serving path deployable without dragging the offline experiment harness
   ``repro.experiments`` (plus tools and tests) may import it back — the
   serving stack and the fleet consume its ``TrafficSeries`` output and
   plain-data shard starts, never its types
-* ``repro.serving.telemetry`` is a deprecated shim (the real module is
-  ``repro.obs.telemetry``): no in-repo module may import it
 
 Run directly or via ``tools/ci.sh``::
 
@@ -193,22 +191,12 @@ ALLOWED: dict[str, tuple[str, ...]] = {
 
 #: Module -> importer prefixes that may reach it.  Unlike FORBIDDEN
 #: (which bans layers wholesale) this pins a single internal module to a
-#: short list of owners.  The compiled-tape replayer is an engine detail
-#: of the autograd substrate: only repro.nn itself and the two hot-loop
-#: layers (core trainers, attacks) may import it, so everything else
-#: goes through the public eager API and the replay surface can change
-#: without a repo-wide audit.  Note it is deliberately NOT exported from
-#: ``repro.nn.__init__``.
+#: short list of owners.
 RESTRICTED_IMPORTERS: dict[str, tuple[str, ...]] = {
-    "repro.nn.compile": ("repro.nn", "repro.core", "repro.attacks"),
     # The continual-learning loop drives serving, never the reverse: a
     # forecast server must boot without the retraining machinery.  Tools
     # live outside src/repro, so the smoke scripts stay free to use it.
     "repro.mlops": ("repro.mlops", "repro.experiments"),
-    # Deprecated shim (moved to repro.obs.telemetry in PR 5, retired in
-    # PR 8): external importers get a DeprecationWarning, in-repo
-    # importers get a CI failure.
-    "repro.serving.telemetry": (),
     # The scenario engine is an input *source*: only the experiment
     # harness (and tools/tests outside src) may drive it.  The serving
     # stack and the fleet consume its TrafficSeries output and its
