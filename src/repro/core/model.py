@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.dataset import TrafficDataset
-from ..data.features import FeatureConfig, FeatureScalers
+from ..data.features import FeatureConfig, FeatureScalers, GraphFeatureConfig
 from ..data.profile import ReferenceProfile
 from ..metrics.errors import all_errors
 from ..metrics.regimes import RegimeMasks, classify_regimes
@@ -143,11 +143,12 @@ class APOTS:
         return f"APOTS_{self.kind}" if self.adversarial else self.kind
 
     def _check_dataset(self, dataset: TrafficDataset) -> None:
-        # Graph-neighbourhood configs carry a row layout; when either side
-        # has one, alpha/m agreement is not enough — the whole geometry
-        # (including the layout's row map) must match.
-        graph_sided = hasattr(dataset.config, "layout") or hasattr(self.features, "layout")
-        if graph_sided:
+        # A graph config stores its row layout; when either side has one,
+        # alpha/m agreement is not enough — the whole geometry (including
+        # the layout's row map) must match.
+        if isinstance(dataset.config, GraphFeatureConfig) or isinstance(
+            self.features, GraphFeatureConfig
+        ):
             if dataset.config != self.features:
                 raise ValueError(
                     "dataset feature geometry does not match the model "

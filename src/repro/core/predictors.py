@@ -192,12 +192,6 @@ class HybridPredictor(Predictor):
         return self.head(nn.ops.concat([last, day_types, last_speed], axis=1)).reshape(-1)
 
 
-def _attention_cls():
-    from .attention import AttentionPredictor
-
-    return AttentionPredictor
-
-
 _REGISTRY = {"F": FCPredictor, "L": LSTMPredictor, "C": CNNPredictor, "H": HybridPredictor}
 
 
@@ -208,12 +202,8 @@ def build_predictor(
     rng: np.random.Generator | None = None,
 ) -> Predictor:
     """Instantiate a predictor by its paper name (F / L / C / H)."""
-    if kind == "A":
-        cls = _attention_cls()
-    else:
-        try:
-            cls = _REGISTRY[kind]
-        except KeyError:
-            valid = sorted(_REGISTRY) + ["A"]
-            raise ValueError(f"unknown predictor kind {kind!r}; expected one of {valid}") from None
+    try:
+        cls = _REGISTRY[kind]
+    except KeyError:
+        raise ValueError(f"unknown predictor kind {kind!r}; expected one of {sorted(_REGISTRY)}") from None
     return cls(features, spec=spec if spec is not None else table1_spec(kind), rng=rng)

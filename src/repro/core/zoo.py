@@ -13,8 +13,8 @@ import hashlib
 import json
 from pathlib import Path
 
-from ..data.features import FactorMask, FeatureConfig, FeatureScalers
-from ..data.graph_features import GraphFeatureConfig, GraphWindowLayout
+from ..data.features import FactorMask, FeatureConfig, FeatureScalers, GraphFeatureConfig
+from ..data.layout import GraphWindowLayout
 from ..data.profile import ReferenceProfile
 from ..nn import load_state, save_state
 from .config import ModelSpec, PRESETS, ScalePreset

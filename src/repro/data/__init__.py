@@ -5,17 +5,14 @@ from .features import (
     FactorMask,
     FeatureConfig,
     FeatureScalers,
+    GraphFeatureConfig,
     WindowFeatures,
     build_features,
+    build_graph_features,
     fit_scalers,
 )
-from .graph_features import (
-    GraphFeatureConfig,
-    GraphTrafficDataset,
-    GraphWindowFeatures,
-    GraphWindowLayout,
-    build_graph_features,
-)
+from .graph_features import GraphTrafficDataset
+from .layout import GraphWindowLayout
 from .profile import PSI_EPSILON, SPEED_BIN_EDGES, ReferenceProfile
 from .scaling import LogStandardScaler, MinMaxScaler, StandardScaler, scaler_from_state
 from .split import SplitIndices, consecutive_runs, split_windows
@@ -33,7 +30,6 @@ __all__ = [
     "fit_scalers",
     "GraphWindowLayout",
     "GraphFeatureConfig",
-    "GraphWindowFeatures",
     "build_graph_features",
     "GraphTrafficDataset",
     "LogStandardScaler",

@@ -12,12 +12,19 @@ a split into the exact tensors each trainer needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..traffic.types import TrafficSeries
-from .features import FeatureConfig, FeatureScalers, WindowFeatures, build_features, fit_scalers
+from .features import (
+    FeatureConfig,
+    FeatureScalers,
+    GraphFeatureConfig,
+    WindowFeatures,
+    build_graph_features,
+    fit_scalers,
+)
 from .split import SplitIndices, consecutive_runs, split_windows
 
 __all__ = ["Batch", "RolloutBatch", "TrafficDataset", "iterate_batches"]
@@ -65,7 +72,16 @@ class RolloutBatch:
 
 
 class TrafficDataset:
-    """Features + split for one simulated corridor series.
+    """Features + split for one simulated series.
+
+    Windows stack target-major (see :class:`WindowFeatures`); here the
+    only target is the corridor's ``target_index``.
+    :class:`repro.data.GraphTrafficDataset` serves several targets
+    through the same methods.  The split is drawn **once** for a single
+    target's window range and tiled across blocks with offsets
+    ``i * N``: a window is train/validation/test by its time position
+    alone, so no target leaks its test times into another target's
+    train set, and one target is simply one block.
 
     Parameters
     ----------
@@ -87,30 +103,52 @@ class TrafficDataset:
         seed: int = 0,
         scalers: FeatureScalers | None = None,
     ):
+        self._build(series, config or FeatureConfig(), None, split, seed, scalers)
+
+    def _build(
+        self,
+        series: TrafficSeries,
+        config: FeatureConfig | GraphFeatureConfig,
+        targets: Iterable[int] | None,
+        split: SplitIndices | None,
+        seed: int,
+        scalers: FeatureScalers | None,
+    ) -> None:
         self.series = series
-        self.config = config if config is not None else FeatureConfig()
+        self.config = config
+        if targets is None:
+            targets = [series.corridor.target_index]
+        self.targets = tuple(int(t) for t in targets)
         if scalers is None:
             scalers = fit_scalers(series)
-        self.features: WindowFeatures = build_features(series, self.config, scalers)
+        self.features: WindowFeatures = build_graph_features(series, config, self.targets, scalers)
+        self._block = self.features.num_windows // len(self.targets)
         if split is None:
             split = split_windows(
-                self.features.num_windows,
-                window_span=self.config.alpha + self.config.beta,
+                self._block,
+                window_span=config.alpha + config.beta,
                 rng=np.random.default_rng(seed),
             )
-        self.split = split
+        self._base_split = split
+        self.split = SplitIndices(
+            train=self._tile(split.train),
+            validation=self._tile(split.validation),
+            test=self._tile(split.test),
+        )
         self._flat_cache = self.features.flat()
         self._condition_cache = self.features.condition()
+
+    def _tile(self, indices: np.ndarray) -> np.ndarray:
+        """Repeat one block's window indices in every target block."""
+        offsets = np.arange(len(self.targets), dtype=np.int64) * self._block
+        return (np.asarray(indices, dtype=np.int64)[None, :] + offsets[:, None]).reshape(-1)
 
     # ------------------------------------------------------------------
     # Plain supervised access
     # ------------------------------------------------------------------
     def subset(self, name: str) -> np.ndarray:
         """Window indices of a named partition."""
-        try:
-            return getattr(self.split, name)
-        except AttributeError:
-            raise KeyError(f"unknown subset {name!r}; use train/validation/test") from None
+        return _partition(self.split, name)
 
     def batch(self, indices: np.ndarray) -> Batch:
         """Materialise a batch for the given window indices."""
@@ -129,14 +167,15 @@ class TrafficDataset:
         """Anchors whose alpha-window history lies entirely in ``subset``.
 
         Anchor ``i`` requires windows ``i - alpha + 1 .. i``; we find them
-        as positions >= alpha - 1 within consecutive index runs.
+        as positions >= alpha - 1 within consecutive runs of one block,
+        so a history never crosses a target-block boundary.
         """
         alpha = self.config.alpha
-        runs = consecutive_runs(self.subset(subset), min_length=alpha)
+        runs = consecutive_runs(_partition(self._base_split, subset), min_length=alpha)
         anchors = [run[alpha - 1 :] for run in runs]
         if not anchors:
             return np.array([], dtype=np.int64)
-        return np.concatenate(anchors)
+        return self._tile(np.concatenate(anchors))
 
     def rollout_batch(self, anchors: np.ndarray) -> RolloutBatch:
         """Materialise the adversarial groups for the given anchors."""
@@ -144,8 +183,8 @@ class TrafficDataset:
         anchors = np.asarray(anchors, dtype=np.int64)
         offsets = np.arange(-(alpha - 1), 1)
         group = (anchors[:, None] + offsets[None, :]).reshape(-1)
-        if group.min() < 0:
-            raise ValueError("anchor group extends before the first window")
+        if np.any((anchors < 0) | (anchors % self._block < alpha - 1)):
+            raise ValueError("anchor group extends before the first window of its target block")
         return RolloutBatch(
             group_images=self.features.images[group],
             group_day_types=self.features.day_types[group],
@@ -167,6 +206,13 @@ class TrafficDataset:
         """(true km/h targets, last-input km/h) for regime-aware metrics."""
         indices = self.subset(subset)
         return self.features.targets_kmh[indices], self.features.last_input_kmh[indices]
+
+
+def _partition(split: SplitIndices, name: str) -> np.ndarray:
+    try:
+        return getattr(split, name)
+    except AttributeError:
+        raise KeyError(f"unknown subset {name!r}; use train/validation/test") from None
 
 
 def iterate_batches(

@@ -11,6 +11,12 @@ Implements the paper's input constructions:
 * the **additional data** ``E = S_adj (+) S_bar`` (Eq 3) that conditions
   the discriminator.
 
+Which segment rows form ``S_adj`` is decided by the config's row layout
+(:mod:`repro.data.layout`): :class:`FeatureConfig` gives the corridor's
+contiguous ``±m`` rows, :class:`GraphFeatureConfig` a road graph's k-hop
+rows.  :func:`build_graph_features` builds every window;
+:func:`build_features` is its single-target corridor call.
+
 Section V-B (Q2) fixes the input size to the "both" configuration and
 zero-fills whatever is ablated; :class:`FactorMask` reproduces exactly
 that rule, including the per-factor switches of Table II.
@@ -19,18 +25,22 @@ that rule, including the per-factor switches of Table II.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
 from ..traffic.types import TrafficSeries
+from .layout import GraphWindowLayout, corridor_layout
 from .scaling import LogStandardScaler, MinMaxScaler, StandardScaler, scaler_from_state
 
 __all__ = [
     "FactorMask",
     "FeatureConfig",
+    "GraphFeatureConfig",
     "FeatureScalers",
     "WindowFeatures",
     "build_features",
+    "build_graph_features",
     "fit_scalers",
 ]
 
@@ -88,9 +98,52 @@ class FactorMask:
         return self.adjacent or self.event or self.weather or self.time
 
 
+class _WindowGeometry:
+    """Window geometry shared by every feature config.
+
+    A config names the target road's image row (``m``), its speed-row
+    count (``num_roads``) and :meth:`layout_for`, the row layout that
+    decides which segment rows feed a window and which segments are
+    servable; everything else is derived here once for all configs.
+    """
+
+    alpha: int
+    beta: int
+    mask: FactorMask
+
+    def __post_init__(self):
+        if self.alpha < 2:
+            raise ValueError("alpha must be at least 2")
+        if self.beta < 1:
+            raise ValueError("beta must be at least 1")
+
+    @property
+    def image_rows(self) -> int:
+        """Rows of the (roads + 4 non-speed channels) input image."""
+        return self.num_roads + 4
+
+    @property
+    def flat_dim(self) -> int:
+        """Dimension of the flattened feature vector (FC predictor input)."""
+        return self.image_rows * self.alpha + 4
+
+    @property
+    def condition_dim(self) -> int:
+        """Dimension of the additional-data condition E for D.
+
+        E excludes the target road's own history (that is the primary
+        input, not 'additional' data): the other speed rows + 4
+        non-speed channels, each alpha long, plus the 4 day-type bits.
+        """
+        return (self.num_roads - 1 + 4) * self.alpha + 4
+
+    def with_mask(self, mask: FactorMask):
+        return replace(self, mask=mask)
+
+
 @dataclass(frozen=True)
-class FeatureConfig:
-    """Window geometry and factor switches.
+class FeatureConfig(_WindowGeometry):
+    """Corridor window geometry and factor switches.
 
     alpha:
         History length (12 five-minute speeds = 1 hour in the paper).
@@ -110,10 +163,7 @@ class FeatureConfig:
     mask: FactorMask = field(default_factory=FactorMask)
 
     def __post_init__(self):
-        if self.alpha < 2:
-            raise ValueError("alpha must be at least 2")
-        if self.beta < 1:
-            raise ValueError("beta must be at least 1")
+        super().__post_init__()
         if self.m < 0:
             raise ValueError("m must be non-negative")
 
@@ -121,28 +171,41 @@ class FeatureConfig:
     def num_roads(self) -> int:
         return 2 * self.m + 1
 
-    @property
-    def image_rows(self) -> int:
-        """Rows of the (roads + 4 non-speed channels) input image."""
-        return self.num_roads + 4
+    def layout_for(self, num_segments: int) -> GraphWindowLayout:
+        """The contiguous ``±m`` rows of a ``num_segments`` corridor."""
+        return corridor_layout(num_segments, self.m)
+
+
+@dataclass(frozen=True)
+class GraphFeatureConfig(_WindowGeometry):
+    """Window geometry over a road graph's stored k-hop layout.
+
+    The layout's ``target_row`` plays the role of ``m``: every consumer
+    that indexes the target row via ``features.m`` — the persistence
+    baselines, the discriminator condition — works unchanged.
+    """
+
+    layout: GraphWindowLayout
+    alpha: int = 12
+    beta: int = 1
+    mask: FactorMask = field(default_factory=FactorMask)
 
     @property
-    def flat_dim(self) -> int:
-        """Dimension of the flattened feature vector (FC predictor input)."""
-        return self.image_rows * self.alpha + 4
+    def m(self) -> int:
+        """Row index of the target road (the corridor's ``m``)."""
+        return self.layout.target_row
 
     @property
-    def condition_dim(self) -> int:
-        """Dimension of the additional-data condition E for D.
+    def num_roads(self) -> int:
+        return self.layout.num_rows
 
-        E excludes the target road's own history (that is the primary
-        input, not 'additional' data): (2m) adjacent rows + 4 non-speed
-        channels, each alpha long, plus the 4 day-type bits.
-        """
-        return (self.num_roads - 1 + 4) * self.alpha + 4
-
-    def with_mask(self, mask: FactorMask) -> "FeatureConfig":
-        return replace(self, mask=mask)
+    def layout_for(self, num_segments: int) -> GraphWindowLayout:
+        """The stored layout, which must cover exactly ``num_segments``."""
+        if self.layout.num_segments != num_segments:
+            raise ValueError(
+                f"layout covers {self.layout.num_segments} segments, not {num_segments}"
+            )
+        return self.layout
 
 
 @dataclass
@@ -172,14 +235,18 @@ class FeatureScalers:
 
 @dataclass
 class WindowFeatures:
-    """All windows of a series, as aligned arrays.
+    """Windows of one or more targets, stacked target-major, as aligned arrays.
+
+    Block ``i`` holds every window of the ``i``-th target; all blocks
+    have ``windows_per_target`` windows and share one time axis.
 
     Attributes
     ----------
     images:
-        (N, image_rows, alpha) scaled feature image: first ``2m+1`` rows
-        are the adjacent-speed matrix (Eq 6, target road in the middle),
-        then event, temperature, precipitation and hour rows.
+        (N, image_rows, alpha) scaled feature image: the first
+        ``num_roads`` rows are the target's layout rows (Eq 6 on a
+        corridor, target road at row ``m``, padding rows zero), then
+        event, temperature, precipitation and hour rows.
     day_types:
         (N, 4) day-type bits of each window's last input step.
     targets:
@@ -193,6 +260,8 @@ class WindowFeatures:
         (N,) absolute timestep index of each target.
     config, scalers:
         The geometry and the train-fitted scalers used.
+    segment_ids:
+        (N,) target segment id each window predicts.
     """
 
     images: np.ndarray
@@ -201,12 +270,17 @@ class WindowFeatures:
     targets_kmh: np.ndarray
     last_input_kmh: np.ndarray
     target_steps: np.ndarray
-    config: FeatureConfig
+    config: FeatureConfig | GraphFeatureConfig
     scalers: FeatureScalers
+    segment_ids: np.ndarray
 
     @property
     def num_windows(self) -> int:
         return self.images.shape[0]
+
+    @property
+    def windows_per_target(self) -> int:
+        return self.num_windows // len(np.unique(self.segment_ids))
 
     def flat(self, indices: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Flattened (N, flat_dim) view: image rows then day-type bits."""
@@ -259,12 +333,44 @@ def build_features(
     config: FeatureConfig,
     scalers: FeatureScalers | None = None,
 ) -> WindowFeatures:
-    """Extract every valid window of ``series`` under ``config``.
+    """Every window of the corridor's target road (one-target call of
+    :func:`build_graph_features`).
 
     Window ``i`` covers input steps ``[i, i + alpha - 1]`` and predicts
     the target-road speed at step ``i + alpha - 1 + beta``.
     """
-    alpha, beta, m = config.alpha, config.beta, config.m
+    return build_graph_features(series, config, [series.corridor.target_index], scalers)
+
+
+def build_graph_features(
+    series: TrafficSeries,
+    config: FeatureConfig | GraphFeatureConfig,
+    targets: Iterable[int],
+    scalers: FeatureScalers | None = None,
+) -> WindowFeatures:
+    """Extract every valid window of each target through the config's layout.
+
+    Per target: gather the layout rows (padding rows read row 0), scale,
+    zero the padding rows *after* scaling so speeds outside the
+    neighbourhood never leak, then slide ``alpha``-step windows and
+    append the event / temperature / precipitation / hour rows, with the
+    factor mask's zero-filling (the Q2 rule) applied.  On a corridor the
+    rows are ``target - m .. target + m``: the paper's Eq 5/6 matrix.
+    """
+    layout = config.layout_for(series.num_segments)
+    target_list = [int(t) for t in targets]
+    if not target_list:
+        raise ValueError("at least one target segment is required")
+    if len(set(target_list)) != len(target_list):
+        raise ValueError("target segments must be unique")
+    servable = layout.servable
+    for t in target_list:
+        if not 0 <= t < series.num_segments:
+            raise ValueError(f"target {t} outside 0..{series.num_segments - 1}")
+        if not servable[t]:
+            raise ValueError(f"target {t} lacks {config.m} corridor neighbours on both sides")
+
+    alpha, beta = config.alpha, config.beta
     total = series.num_steps
     num_windows = total - alpha - beta + 1
     if num_windows <= 0:
@@ -274,30 +380,15 @@ def build_features(
     if scalers is None:
         scalers = fit_scalers(series)
 
-    adjacent_rows = series.corridor.adjacent_indices(m)
-    target_row_local = m  # position of the target road inside the matrix
+    mask = config.mask
+    target_row = layout.target_row
 
-    # Adjacent-speed matrix windows: (R, N, alpha) -> (N, R, alpha).
-    adj = scalers.speed.transform(series.speeds[adjacent_rows])
-    adj_windows = np.transpose(_sliding_windows(adj, alpha, num_windows), (1, 0, 2)).copy()
-
-    # Non-speed channels, each (N, alpha).
-    target_index = series.corridor.target_index
-    event = _sliding_windows(series.events[target_index], alpha, num_windows).copy()
+    # Shared non-speed channels (target-independent), each (N, alpha).
     temp = _sliding_windows(scalers.temperature.transform(series.temperature), alpha, num_windows).copy()
     precip = _sliding_windows(
         scalers.precipitation.transform(series.precipitation), alpha, num_windows
     ).copy()
     hour = _sliding_windows(series.hours / 23.0, alpha, num_windows).copy()
-
-    # Apply the Q2 zero-filling rule per factor.
-    mask = config.mask
-    if not mask.adjacent:
-        keep = adj_windows[:, target_row_local, :].copy()
-        adj_windows[:] = 0.0
-        adj_windows[:, target_row_local, :] = keep
-    if not mask.event:
-        event[:] = 0.0
     if not mask.weather:
         temp[:] = 0.0
         precip[:] = 0.0
@@ -307,24 +398,43 @@ def build_features(
     if not mask.time:
         hour[:] = 0.0
         day_types = np.zeros_like(day_types)
-
-    images = np.concatenate(
-        [adj_windows, event[:, None, :], temp[:, None, :], precip[:, None, :], hour[:, None, :]],
-        axis=1,
-    )
-
     target_steps = last_step + beta
-    target_kmh = series.speeds[target_index, target_steps]
-    last_input_kmh = series.speeds[target_index, last_step]
-    targets = scalers.speed.transform(target_kmh)
 
+    image_blocks = []
+    target_kmh_blocks = []
+    last_kmh_blocks = []
+    for t in target_list:
+        rows = layout.rows_array[t]
+        adj = scalers.speed.transform(series.speeds[np.maximum(rows, 0)])
+        adj[rows < 0] = 0.0
+        # (R, N, alpha) -> (N, R, alpha)
+        adj_windows = np.transpose(_sliding_windows(adj, alpha, num_windows), (1, 0, 2)).copy()
+        event = _sliding_windows(series.events[t], alpha, num_windows).copy()
+        if not mask.adjacent:
+            keep = adj_windows[:, target_row, :].copy()
+            adj_windows[:] = 0.0
+            adj_windows[:, target_row, :] = keep
+        if not mask.event:
+            event[:] = 0.0
+        image_blocks.append(
+            np.concatenate(
+                [adj_windows, event[:, None, :], temp[:, None, :], precip[:, None, :], hour[:, None, :]],
+                axis=1,
+            )
+        )
+        target_kmh_blocks.append(series.speeds[t, target_steps])
+        last_kmh_blocks.append(series.speeds[t, last_step])
+
+    reps = len(target_list)
+    targets_kmh = np.concatenate(target_kmh_blocks)
     return WindowFeatures(
-        images=images,
-        day_types=day_types,
-        targets=targets,
-        targets_kmh=target_kmh,
-        last_input_kmh=last_input_kmh,
-        target_steps=target_steps,
+        images=np.concatenate(image_blocks, axis=0),
+        day_types=np.concatenate([day_types] * reps, axis=0),
+        targets=scalers.speed.transform(targets_kmh),
+        targets_kmh=targets_kmh,
+        last_input_kmh=np.concatenate(last_kmh_blocks),
+        target_steps=np.concatenate([target_steps] * reps),
         config=config,
         scalers=scalers,
+        segment_ids=np.repeat(np.array(target_list, dtype=np.int64), num_windows),
     )

@@ -135,9 +135,10 @@ def _gate_drill(model, dataset, attack_name: str, epsilon: float, seed: int) -> 
     """Route the attack through a gated live service; count quarantines."""
     series = dataset.series
     config = dataset.config
-    alpha, m = config.alpha, config.m
+    alpha = config.alpha
     target = series.corridor.target_index
-    neighbourhood = series.corridor.adjacent_indices(m)
+    # The segments feeding the target's window, in image-row order.
+    window_rows = config.layout_for(series.num_segments).rows[target]
 
     # A sustained PGD perturbation is a near-constant offset, so its
     # tick-to-tick jumps look natural; the detectable signature is the
@@ -165,7 +166,7 @@ def _gate_drill(model, dataset, attack_name: str, epsilon: float, seed: int) -> 
     constraint = PlausibilityBox(epsilon_kmh=epsilon)
     attack = build_attack(attack_name, model.predictor, model.scalers, constraint, seed=seed)
     attacked = attack.perturb(attack_batch.images, attack_batch.day_types, attack_batch.targets)
-    injected_kmh = attacked.speeds_kmh[:, :, -1]  # (ticks, 2m+1)
+    injected_kmh = attacked.speeds_kmh[:, :, -1]  # (ticks, speed rows)
 
     def observation(segment: int, step: int, speed: float | None = None) -> Observation:
         return Observation(
@@ -187,8 +188,8 @@ def _gate_drill(model, dataset, attack_name: str, epsilon: float, seed: int) -> 
     for i, step in enumerate(ticks + recovery):
         batch = []
         for segment in range(series.num_segments):
-            if segment in neighbourhood and i < len(ticks):
-                speed = injected_kmh[i, neighbourhood.index(segment)]
+            if segment in window_rows and i < len(ticks):
+                speed = injected_kmh[i, window_rows.index(segment)]
                 batch.append(observation(segment, step, speed))
             else:
                 batch.append(observation(segment, step))

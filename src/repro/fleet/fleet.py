@@ -16,7 +16,7 @@ Determinism contract (pinned by ``tests/fleet`` and
 :mod:`repro.parallel` convention), ``shards=N`` splits the same batch
 across replicas whose padded micro-batches are already pinned
 batch/single-equivalent, and halo ingestion keeps every owned window's
-``2m + 1`` neighbour rows complete at shard boundaries.
+layout rows complete at shard boundaries.
 
 Failure and overload policy — *shed to naive persistence, never drop
 silently*:
@@ -43,16 +43,16 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..attacks.defense import GateConfig, PerturbationGate
+from ..attacks.defense import GateConfig
 from ..core.zoo import load_model, model_fingerprint
 from ..obs.telemetry import Telemetry
 from ..parallel.group import WorkerGroup, WorkerGroupError
-from ..serving.errors import IncompleteWindowError, StaleObservationError, StreamGapError
-from ..serving.service import Forecast, ForecastService
-from ..serving.state import Observation
+from ..serving.errors import IncompleteWindowError
+from ..serving.service import Forecast
+from ..serving.state import Observation, check_observation
 from .admission import AdmissionController
 from .errors import FleetClosedError, FleetError
-from .replica import ReplicaSpec
+from .replica import ReplicaSpec, ShardReplica
 from .router import ShardMap
 
 __all__ = ["FleetRequest", "ForecastFleet"]
@@ -143,25 +143,12 @@ class ForecastFleet:
         self.features = model.features
         self.num_segments = num_segments
         self.shard_map = ShardMap(num_segments, shards, starts=shard_starts)
-        # Graph-neighbourhood checkpoints carry a row layout (duck-typed;
-        # the fleet layer cannot import repro.data).  A corridor halo is a
-        # contiguous ±m range, but a k-hop halo straddles shard cuts
-        # arbitrarily, so we precompute each observation's covering shards
-        # from the layout: shard r needs segment s iff some segment t it
-        # owns reads row s — and since undirected k-hop distance is
-        # symmetric, that is exactly t ∈ valid_rows(s).
-        layout = getattr(self.features, "layout", None)
-        if layout is not None and layout.num_segments != num_segments:
-            raise ValueError(
-                f"checkpoint layout covers {layout.num_segments} segments, "
-                f"fleet has {num_segments}"
-            )
-        self._covering_shards: list[tuple[int, ...]] | None = None
-        if layout is not None and shards > 1:
-            self._covering_shards = [
-                tuple(sorted({self.shard_map.shard_of(t) for t in layout.valid_rows(seg)}))
-                for seg in range(num_segments)
-            ]
+        # Each observation goes to every shard whose owned windows read it.
+        # The fleet may not import repro.data, so it asks the checkpoint's
+        # own config for its row layout.
+        self._covering_shards = self.shard_map.covering_shards(
+            self.features.layout_for(num_segments)
+        )
         self.admission = AdmissionController(shards, max_queue_per_shard)
         self.telemetry = Telemetry()
         self._recorder = recorder
@@ -173,37 +160,28 @@ class ForecastFleet:
         self._last_speed = np.full(num_segments, np.nan, dtype=np.float64)
         self._latest_step = np.full(num_segments, -1, dtype=np.int64)
 
-        service_kwargs = dict(
-            max_batch_size=max_batch_size,
-            cache_capacity=cache_capacity,
-            cache_ttl_seconds=cache_ttl_seconds,
-            interval_minutes=interval_minutes,
-            store_capacity=store_capacity,
-        )
-        if shards == 1:
-            gate = PerturbationGate(gate_config) if gate_config is not None else None
-            self._local: ForecastService | None = ForecastService(
-                model,
-                num_segments,
-                gate=gate,
-                segment_range=(0, num_segments),
-                **service_kwargs,
+        specs = [
+            ReplicaSpec(
+                checkpoint_dir=str(checkpoint_dir),
+                num_segments=num_segments,
+                shard=shard,
+                num_shards=shards,
+                shard_starts=self.shard_map.starts,
+                gate_config=gate_config,
+                max_batch_size=max_batch_size,
+                cache_capacity=cache_capacity,
+                cache_ttl_seconds=cache_ttl_seconds,
+                interval_minutes=interval_minutes,
+                store_capacity=store_capacity,
             )
-            self._groups: list[WorkerGroup] = []
-        else:
-            self._local = None
-            self._groups = []
+            for shard in range(shards)
+        ]
+        # shards=1 hosts its one replica in the parent, process-free.
+        self._local: ShardReplica | None = specs[0]() if shards == 1 else None
+        self._groups: list[WorkerGroup] = []
+        if self._local is None:
             try:
-                for shard in range(shards):
-                    spec = ReplicaSpec(
-                        checkpoint_dir=str(checkpoint_dir),
-                        num_segments=num_segments,
-                        shard=shard,
-                        num_shards=shards,
-                        shard_starts=self.shard_map.starts,
-                        gate_config=gate_config,
-                        **service_kwargs,  # type: ignore[arg-type]
-                    )
+                for spec in specs:
                     self._groups.append(WorkerGroup(spec, workers=1, context=context))
             except BaseException:
                 for group in self._groups:
@@ -246,8 +224,14 @@ class ForecastFleet:
         """Start every shard's call before gathering any reply.
 
         Returns shard → result, with ``None`` for shards that were (or
-        became) lost; the caller sheds those.
+        became) lost; the caller sheds those.  A process-free fleet calls
+        its in-parent replica directly.
         """
+        if self._local is not None:
+            return {
+                shard: getattr(self._local, method)(*args)
+                for shard, (method, args) in calls.items()
+            }
         results: dict[int, Any] = {}
         started: list[int] = []
         for shard, (method, args) in calls.items():
@@ -274,7 +258,7 @@ class ForecastFleet:
     # Ingestion
     # ------------------------------------------------------------------
     def _validate_stream(self, observations: list[Observation]) -> None:
-        """Reject stale/gapped observations *before* any state mutates.
+        """Reject stale/gapped/invalid observations *before* any state mutates.
 
         Stricter than the incremental per-observation validation of a
         single service (which ingests a batch's prefix before raising):
@@ -285,26 +269,8 @@ class ForecastFleet:
         for obs in observations:
             self.shard_map.check_segment(obs.segment_id)
             seg = obs.segment_id
-            previous = latest.get(seg, int(self._latest_step[seg]))
-            if previous >= 0:
-                if obs.step <= previous:
-                    raise StaleObservationError(
-                        f"segment {seg}: observation for step {obs.step} arrived "
-                        f"after step {previous} was already ingested (out of order)"
-                    )
-                if obs.step > previous + 1:
-                    raise StreamGapError(
-                        f"segment {seg}: stream skipped steps "
-                        f"{previous + 1}..{obs.step - 1}; call reset_segment({seg}) "
-                        f"to restart the stream"
-                    )
+            check_observation(obs, latest.get(seg, int(self._latest_step[seg])))
             latest[seg] = obs.step
-
-    def _shards_for(self, segment_id: int):
-        """Shards whose replicas need this segment's observations."""
-        if self._covering_shards is not None:
-            return self._covering_shards[segment_id]
-        return self.shard_map.shards_for_observation(segment_id, self.features.m)
 
     def ingest(self, observation: Observation) -> None:
         self.ingest_many([observation])
@@ -318,7 +284,7 @@ class ForecastFleet:
         self._validate_stream(observations)
         per_shard: dict[int, list[Observation]] = {}
         for obs in observations:
-            for shard in self._shards_for(obs.segment_id):
+            for shard in self._covering_shards[obs.segment_id]:
                 per_shard.setdefault(shard, []).append(obs)
         # Parent bookkeeping first: shed answers must stay fresh even if
         # a replica dies inside this very scatter.
@@ -326,12 +292,9 @@ class ForecastFleet:
             self._last_speed[obs.segment_id] = obs.speed_kmh
             self._latest_step[obs.segment_id] = obs.step
         self.telemetry.counter("observations").inc(len(observations))
-        if self._local is not None:
-            self._local.ingest_many(observations)
-        else:
-            self._scatter_call(
-                {shard: ("ingest_batch", (batch,)) for shard, batch in per_shard.items()}
-            )
+        self._scatter_call(
+            {shard: ("ingest_batch", (batch,)) for shard, batch in per_shard.items()}
+        )
         return len(observations)
 
     def reset_segment(self, segment_id: int) -> None:
@@ -340,12 +303,9 @@ class ForecastFleet:
         self.shard_map.check_segment(segment_id)
         self._latest_step[segment_id] = -1
         self._last_speed[segment_id] = np.nan
-        if self._local is not None:
-            self._local.store.reset_segment(segment_id)
-        else:
-            self._scatter_call(
-                {shard: ("reset_segment", (segment_id,)) for shard in self._shards_for(segment_id)}
-            )
+        self._scatter_call(
+            {shard: ("reset_segment", (segment_id,)) for shard in self._covering_shards[segment_id]}
+        )
 
     # ------------------------------------------------------------------
     # Prediction: closed-loop scatter/gather
@@ -400,37 +360,29 @@ class ForecastFleet:
 
         results: list[Forecast | None] = [None] * len(segment_ids)
         shed_counts: dict[int, int] = {}
-        if self._local is not None:
-            forecasts = self._local.predict_many(
-                segment_ids, horizon_steps=horizon, use_cache=use_cache
-            )
-            results = list(forecasts)
-        else:
-            positions: dict[int, list[int]] = {}
-            for position, segment_id in enumerate(segment_ids):
-                positions.setdefault(self.shard_map.shard_of(segment_id), []).append(
-                    position
+        positions: dict[int, list[int]] = {}
+        for position, segment_id in enumerate(segment_ids):
+            positions.setdefault(self.shard_map.shard_of(segment_id), []).append(position)
+        gathered = self._scatter_call(
+            {
+                shard: (
+                    "predict_batch",
+                    ([segment_ids[p] for p in shard_positions], horizon, use_cache),
                 )
-            gathered = self._scatter_call(
-                {
-                    shard: (
-                        "predict_batch",
-                        ([segment_ids[p] for p in shard_positions], horizon, use_cache),
+                for shard, shard_positions in positions.items()
+            }
+        )
+        for shard, shard_positions in positions.items():
+            forecasts = gathered[shard]
+            if forecasts is None:
+                for position in shard_positions:
+                    results[position] = self._shed_forecast(
+                        segment_ids[position], horizon, f"shard {shard} lost"
                     )
-                    for shard, shard_positions in positions.items()
-                }
-            )
-            for shard, shard_positions in positions.items():
-                forecasts = gathered[shard]
-                if forecasts is None:
-                    for position in shard_positions:
-                        results[position] = self._shed_forecast(
-                            segment_ids[position], horizon, f"shard {shard} lost"
-                        )
-                    shed_counts[shard] = len(shard_positions)
-                else:
-                    for position, forecast in zip(shard_positions, forecasts):
-                        results[position] = forecast
+                shed_counts[shard] = len(shard_positions)
+            else:
+                for position, forecast in zip(shard_positions, forecasts):
+                    results[position] = forecast
         shed_total = sum(shed_counts.values())
         self.telemetry.counter("served_requests").inc(len(segment_ids) - shed_total)
         if shed_total:
@@ -549,24 +501,12 @@ class ForecastFleet:
                 key = (ticket.horizon_steps, ticket.use_cache)
                 rounds.setdefault(key, {}).setdefault(shard, []).append(ticket)
         for (horizon, use_cache), batches in rounds.items():
-            if self._local is not None:
-                tickets = batches.get(0, [])
-                forecasts = self._local.predict_many(
-                    [t.segment_id for t in tickets],
-                    horizon_steps=horizon,
-                    use_cache=use_cache,
-                )
-                gathered: dict[int, Any] = {0: forecasts}
-            else:
-                gathered = self._scatter_call(
-                    {
-                        shard: (
-                            "predict_batch",
-                            ([t.segment_id for t in tickets], horizon, use_cache),
-                        )
-                        for shard, tickets in batches.items()
-                    }
-                )
+            gathered = self._scatter_call(
+                {
+                    shard: ("predict_batch", ([t.segment_id for t in tickets], horizon, use_cache))
+                    for shard, tickets in batches.items()
+                }
+            )
             completion = self._clock()
             for shard, tickets in batches.items():
                 forecasts = gathered[shard]
@@ -634,18 +574,14 @@ class ForecastFleet:
                 "needs the fitted scalers to transform raw observations"
             )
         fingerprint = model_fingerprint(model)
-        if self._local is not None:
-            self._local.swap_checkpoint(directory)
-            swapped = 1
-        else:
-            gathered = self._scatter_call(
-                {
-                    shard: ("swap_checkpoint", (str(directory),))
-                    for shard in range(self.num_shards)
-                    if shard not in self._lost
-                }
-            )
-            swapped = sum(1 for result in gathered.values() if result is not None)
+        gathered = self._scatter_call(
+            {
+                shard: ("swap_checkpoint", (str(directory),))
+                for shard in range(self.num_shards)
+                if shard not in self._lost
+            }
+        )
+        swapped = sum(1 for result in gathered.values() if result is not None)
         self.telemetry.counter("checkpoint_swaps").inc()
         self._emit("fleet_swap", shards_swapped=swapped, fingerprint=fingerprint)
         return fingerprint
@@ -685,17 +621,10 @@ class ForecastFleet:
             "telemetry": self.telemetry.snapshot(),
             "admission": self.admission.snapshot(),
         }
-        if self._local is not None:
-            replicas: list[dict | None] = [self._local.snapshot()]
-        else:
-            gathered = self._scatter_call(
-                {
-                    shard: ("snapshot", ())
-                    for shard in range(self.num_shards)
-                    if shard not in self._lost
-                }
-            )
-            replicas = [gathered.get(shard) for shard in range(self.num_shards)]
+        gathered = self._scatter_call(
+            {shard: ("snapshot", ()) for shard in range(self.num_shards) if shard not in self._lost}
+        )
+        replicas = [gathered.get(shard) for shard in range(self.num_shards)]
         snap["replicas"] = replicas
         snap["gate_quarantined_total"] = sum(
             r.get("gate_quarantined_count", 0) for r in replicas if r is not None

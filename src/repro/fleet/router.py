@@ -1,12 +1,12 @@
 """Deterministic segment → shard routing for the forecast fleet.
 
 :class:`ShardMap` partitions a corridor of ``num_segments`` into
-``num_shards`` *contiguous* balanced ranges.  Contiguity is what makes
-sharded serving bitwise-equal to a single service: a model window reads
-the target segment plus ``m`` neighbours on each side, so the owner of
-a contiguous range only ever needs a *halo* of ``m`` extra segments per
-boundary — observations for a segment are routed to every shard whose
-halo covers it (at most a handful, and exactly one owner).
+``num_shards`` *contiguous* balanced ranges.  A model window
+reads the rows of the target's layout (its ``±m`` corridor neighbours,
+or its k-hop neighbourhood on a road graph), so a shard must also ingest
+the *halo* of segments its owned windows read: observations for a
+segment are routed to every shard that covers it
+(:meth:`ShardMap.covering_shards` — a handful, and exactly one owner).
 
 The map is a pure function of ``(num_segments, num_shards)``: no
 hashing, no registration order, no randomness.  Two processes that
@@ -37,9 +37,8 @@ class ShardMap:
     ``starts`` overrides the balanced cut positions with explicit ones
     (``starts[0] == 0``, strictly increasing, all below
     ``num_segments``) — how graph-aware partitions from
-    ``repro.network.sharding`` reach the fleet as plain data.  Every
-    routing property (contiguous ownership, halo coverage, contiguous
-    ``shards_for_observation``) holds for any valid ``starts``.
+    ``repro.network.sharding`` reach the fleet as plain data.  Contiguous
+    ownership and halo coverage hold for any valid ``starts``.
     """
 
     num_segments: int
@@ -100,31 +99,21 @@ class ShardMap:
         )
         return lo, hi
 
-    def halo_range(self, shard: int, m: int) -> tuple[int, int]:
-        """Owned range widened by ``m`` neighbours per side (clipped).
+    def covering_shards(self, layout) -> list[tuple[int, ...]]:
+        """Per segment ``s``, the shards whose replicas need its observations.
 
-        These are the segments whose observations the shard must ingest
-        so every *owned* segment's ``2m + 1``-row window stays complete.
+        Shard ``r`` needs ``s`` iff some segment ``t`` it owns reads row
+        ``s`` of ``layout`` (a :class:`repro.data.GraphWindowLayout`).
+        Layout rows are symmetric — undirected k-hop distance, or
+        ``|t - s| <= m`` on a corridor — so that is exactly
+        ``{shard_of(t) for t in layout.valid_rows(s)}``; it always
+        contains the owner, and on a corridor it is the owners of the
+        clipped halo ``[s - m, s + m]``.
         """
-        if m < 0:
-            raise ValueError("m must be non-negative")
-        lo, hi = self.owned_range(shard)
-        return max(0, lo - m), min(self.num_segments, hi + m)
-
-    def shards_for_observation(self, segment_id: int, m: int) -> range:
-        """Every shard whose ``m``-halo covers ``segment_id``.
-
-        A shard's halo covers ``segment_id`` iff the shard owns some
-        segment in ``[segment_id - m, segment_id + m]``; owners of a
-        contiguous range are themselves contiguous, so the answer is a
-        ``range`` of shard ids (always containing the owner).
-        """
-        if m < 0:
-            raise ValueError("m must be non-negative")
-        self.check_segment(segment_id)
-        first = self.shard_of(max(0, segment_id - m))
-        last = self.shard_of(min(self.num_segments - 1, segment_id + m))
-        return range(first, last + 1)
+        return [
+            tuple(sorted({self.shard_of(t) for t in layout.valid_rows(s)}))
+            for s in range(self.num_segments)
+        ]
 
     # ------------------------------------------------------------------
     def _check_shard(self, shard: int) -> None:

@@ -11,9 +11,7 @@ from . import init, ops
 from .gradcheck import check_gradients, numerical_gradient
 from .layers import (
     ELU,
-    GRU,
     LSTM,
-    GRUCell,
     AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
@@ -42,8 +40,6 @@ __all__ = [
     "check_gradients",
     "numerical_gradient",
     "ELU",
-    "GRU",
-    "GRUCell",
     "LSTM",
     "AvgPool2d",
     "BatchNorm1d",

@@ -4,7 +4,6 @@ from .activation import ELU, LeakyReLU, ReLU, Sigmoid, Tanh
 from .container import ModuleList, Sequential
 from .conv import AvgPool2d, Conv2d, Flatten, MaxPool2d
 from .dropout import Dropout
-from .gru import GRU, GRUCell
 from .linear import Linear
 from .normalization import BatchNorm1d, BatchNorm2d, LayerNorm
 from .recurrent import LSTM, LSTMCell
@@ -22,8 +21,6 @@ __all__ = [
     "Flatten",
     "MaxPool2d",
     "Dropout",
-    "GRU",
-    "GRUCell",
     "Linear",
     "BatchNorm1d",
     "BatchNorm2d",

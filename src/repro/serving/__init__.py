@@ -15,6 +15,7 @@ from .batcher import MicroBatcher, PendingForecast
 from .cache import ForecastCache
 from .errors import (
     IncompleteWindowError,
+    InvalidReadingError,
     ServingError,
     StaleObservationError,
     StreamGapError,
@@ -32,6 +33,7 @@ __all__ = [
     "UnknownSegmentError",
     "StaleObservationError",
     "StreamGapError",
+    "InvalidReadingError",
     "IncompleteWindowError",
     "Forecast",
     "ForecastService",

@@ -14,6 +14,7 @@ __all__ = [
     "UnknownSegmentError",
     "StaleObservationError",
     "StreamGapError",
+    "InvalidReadingError",
     "IncompleteWindowError",
 ]
 
@@ -32,6 +33,10 @@ class StaleObservationError(ServingError):
 
 class StreamGapError(ServingError):
     """An observation skipped ticks; the stream must be reset to resume."""
+
+
+class InvalidReadingError(ServingError):
+    """A reading is non-finite or its speed lies outside the plausible range."""
 
 
 class IncompleteWindowError(ServingError):

@@ -17,10 +17,11 @@ Degradation policy (also documented in DESIGN.md): a query the model
 cannot answer falls back to the *naive persistence forecast* — the
 segment's last observed speed — and is flagged ``degraded`` with a
 reason.  This covers segments whose window is still warming up or lags
-its neighbours, corridor-edge segments that lack ``m`` neighbours on a
-side, and horizons the model was not trained for.  Only a segment with
-no observations at all is a hard :class:`IncompleteWindowError`: there
-is nothing defensible to say about it.
+its neighbours, segments the model's row layout marks unservable
+(corridor-edge segments that lack ``m`` neighbours on a side), and
+horizons the model was not trained for.  Only a segment with no
+observations at all is a hard :class:`IncompleteWindowError`: there is
+nothing defensible to say about it.
 """
 
 from __future__ import annotations
@@ -220,20 +221,14 @@ class ForecastService:
     def _gate_quarantined(self, segment_id: int) -> bool:
         """Whether the gate quarantines this segment's *window*.
 
-        The model's window reads the segment and its ``m`` neighbours on
-        each side — or, under a graph layout, its k-hop neighbourhood —
-        so a poisoned neighbour taints the forecast just as much as a
-        poisoned target.
+        The model's window reads every real row of the segment's layout
+        (its ``±m`` corridor neighbours or its k-hop neighbourhood), so a
+        poisoned neighbour taints the forecast just as much as a poisoned
+        target.
         """
         if self.gate is None:
             return False
-        layout = getattr(self._model.features, "layout", None)
-        if layout is not None:
-            neighbourhood = layout.valid_rows(segment_id)
-        else:
-            m = self._model.features.m
-            neighbourhood = range(segment_id - m, segment_id + m + 1)
-        return any(self.gate.is_quarantined(neighbour) for neighbour in neighbourhood)
+        return any(self.gate.is_quarantined(t) for t in self.store.layout.valid_rows(segment_id))
 
     def _gate_naive(self, segment_id: int, horizon: int) -> Forecast:
         """Degrade a quarantined segment, persisting the last trusted speed.
@@ -251,65 +246,12 @@ class ForecastService:
             forecast = replace(forecast, speed_kmh=safe)
         return forecast
 
-    def _resolve(
-        self, segment_id: int, horizon: int, use_cache: bool
-    ) -> tuple[Forecast | None, tuple | None, WindowView | None]:
-        """Answer from cache/degradation, or return the window to batch."""
-        self.telemetry.counter("requests").inc()
-        beta = self._model.features.beta
-        if horizon < 1:
-            raise ValueError("horizon_steps must be at least 1")
-        if horizon != beta:
-            return (
-                self._naive(
-                    segment_id,
-                    horizon,
-                    f"horizon {horizon} unsupported (model predicts beta={beta})",
-                ),
-                None,
-                None,
-            )
-        if self._gate_quarantined(segment_id):
-            return self._gate_naive(segment_id, horizon), None, None
-        try:
-            view = self.store.window(segment_id)
-        except IncompleteWindowError as exc:
-            return self._naive(segment_id, horizon, str(exc)), None, None
-        key = (self._fingerprint, segment_id, horizon, view.fingerprint)
-        if use_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return replace(cached, from_cache=True), None, None
-        return None, key, view
-
-    def _complete(
-        self, key: tuple, view: WindowView, pending: PendingForecast, horizon: int, use_cache: bool
-    ) -> Forecast:
-        assert pending.done and pending.value is not None
-        forecast = Forecast(
-            segment_id=view.segment_id,
-            target_step=view.target_step,
-            horizon_steps=horizon,
-            speed_kmh=self._to_kmh(pending.value),
-            source="model",
-            model_fingerprint=self._fingerprint,
-        )
-        if use_cache:
-            self.cache.put(key, forecast)
-        return forecast
-
     def predict(
         self, segment_id: int, horizon_steps: int | None = None, use_cache: bool = True
     ) -> Forecast:
-        """Forecast one segment, flushing the batcher immediately."""
+        """Forecast one segment (a one-request :meth:`predict_many`)."""
         start = time.perf_counter()
-        horizon = horizon_steps if horizon_steps is not None else self._model.features.beta
-        forecast, key, view = self._resolve(segment_id, horizon, use_cache)
-        if forecast is None:
-            pending = self.batcher.submit(view)
-            if not pending.done:
-                self.batcher.flush()
-            forecast = self._complete(key, view, pending, horizon, use_cache)
+        forecast = self._answer([segment_id], horizon_steps, use_cache)[0]
         self.telemetry.histogram("predict_latency_ms").observe(
             (time.perf_counter() - start) * 1e3
         )
@@ -327,9 +269,18 @@ class ForecastService:
         requests never enter the batcher.
         """
         start = time.perf_counter()
-        horizon = horizon_steps if horizon_steps is not None else self._model.features.beta
-        segment_ids = list(segment_ids)
+        forecasts = self._answer(list(segment_ids), horizon_steps, use_cache)
+        self.telemetry.histogram("predict_many_latency_ms").observe(
+            (time.perf_counter() - start) * 1e3
+        )
+        return forecasts
+
+    def _answer(
+        self, segment_ids: list[int], horizon_steps: int | None, use_cache: bool
+    ) -> list[Forecast]:
+        """Cache, degradation and one batcher flush for every request."""
         beta = self._model.features.beta
+        horizon = horizon_steps if horizon_steps is not None else beta
         if horizon < 1:
             raise ValueError("horizon_steps must be at least 1")
         self.telemetry.counter("requests").inc(len(segment_ids))
@@ -359,10 +310,18 @@ class ForecastService:
                 queued.append((position, key, view, self.batcher.submit(view)))
         self.batcher.flush()
         for position, key, view, pending in queued:
-            results[position] = self._complete(key, view, pending, horizon, use_cache)
-        self.telemetry.histogram("predict_many_latency_ms").observe(
-            (time.perf_counter() - start) * 1e3
-        )
+            assert pending.done and pending.value is not None
+            forecast = Forecast(
+                segment_id=view.segment_id,
+                target_step=view.target_step,
+                horizon_steps=horizon,
+                speed_kmh=self._to_kmh(pending.value),
+                source="model",
+                model_fingerprint=self._fingerprint,
+            )
+            if use_cache:
+                self.cache.put(key, forecast)
+            results[position] = forecast
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

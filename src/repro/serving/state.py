@@ -1,15 +1,18 @@
 """Rolling per-segment state: from an observation stream to model inputs.
 
-The offline pipeline (:func:`repro.data.features.build_features`) sees a
-whole :class:`~repro.traffic.types.TrafficSeries` at once and slides
-windows over it.  Online, observations arrive one 5-minute tick at a
+The offline pipeline (:func:`repro.data.features.build_graph_features`)
+sees a whole :class:`~repro.traffic.types.TrafficSeries` at once and
+slides windows over it.  Online, observations arrive one 5-minute tick at a
 time, per segment.  :class:`SegmentStateStore` keeps fixed-capacity ring
 buffers — speed and event flags consolidated into ``(num_segments,
 capacity)`` arrays, plus one corridor-wide context ring (temperature,
 precipitation, day-type bits) — and materialises, on demand, exactly
 the ``(image, day_type, flat)`` arrays the predictors consume,
-bit-for-bit identical to what ``build_features`` would produce for the
-same steps (covered by ``tests/serving/test_state.py``).
+bit-for-bit identical to what the offline pipeline would produce for the
+same steps (covered by ``tests/serving/test_state.py`` and
+``test_graph_state.py``).  Both read rows through the model config's
+row layout (``features.layout_for(num_segments)``), which also decides
+which segments the model may serve at all.
 
 :meth:`SegmentStateStore.windows_many` assembles many segments' windows
 with a handful of vectorised gathers instead of per-segment python
@@ -27,18 +30,27 @@ raises :class:`StreamGapError`; a broken feed must be restarted with
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..data.features import FeatureConfig, FeatureScalers
-from .errors import IncompleteWindowError, StaleObservationError, StreamGapError, UnknownSegmentError
+from .errors import (
+    IncompleteWindowError,
+    InvalidReadingError,
+    StaleObservationError,
+    StreamGapError,
+    UnknownSegmentError,
+)
 
-__all__ = ["Observation", "WindowView", "SegmentStateStore"]
+__all__ = ["Observation", "WindowView", "SegmentStateStore", "check_observation"]
 
 #: Context-ring column layout: temperature, precipitation, 4 day-type bits.
 _CTX_TEMP, _CTX_PRECIP, _CTX_DAY = 0, 1, slice(2, 6)
 _DEFAULT_DAY_TYPE = (1.0, 0.0, 0.0, 0.0)  # plain weekday
+#: Plausible speed of a reading (the attacks' PlausibilityBox range).
+_SPEED_RANGE_KMH = (0.0, 130.0)
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,41 @@ class Observation:
     temperature: float | None = None
     precipitation: float | None = None
     day_type: tuple[float, float, float, float] | None = None
+
+
+def check_observation(observation: Observation, latest: int) -> None:
+    """Raise unless ``observation`` may follow step ``latest`` of its stream.
+
+    ``latest < 0`` means the stream is empty (any step may open it).
+    Stream order: :class:`StaleObservationError` on a step at or before
+    ``latest``, :class:`StreamGapError` on skipped steps.  Values:
+    :class:`InvalidReadingError` on a non-finite or implausible speed, or
+    a non-finite event, temperature or precipitation — any of which would
+    poison every window that reads the segment.
+    """
+    obs = observation
+    seg, step = obs.segment_id, obs.step
+    if latest >= 0:
+        if step <= latest:
+            raise StaleObservationError(
+                f"segment {seg}: observation for step {step} arrived after "
+                f"step {latest} was already ingested (out of order)"
+            )
+        if step > latest + 1:
+            raise StreamGapError(
+                f"segment {seg}: stream skipped steps {latest + 1}..{step - 1}; "
+                f"call reset_segment({seg}) to restart the stream"
+            )
+    lo, hi = _SPEED_RANGE_KMH
+    if not lo <= obs.speed_kmh <= hi:  # also rejects NaN
+        raise InvalidReadingError(
+            f"segment {seg} step {step}: speed {obs.speed_kmh} km/h "
+            f"is outside the plausible range [{lo:g}, {hi:g}]"
+        )
+    for name in ("event", "temperature", "precipitation"):
+        value = getattr(obs, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidReadingError(f"segment {seg} step {step}: {name} {value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -108,11 +155,11 @@ class _ContextRing:
     def has(self, step: int) -> bool:
         return self.latest is not None and self.latest - self.count < step <= self.latest
 
-    def covers(self, end_step: int, n: int) -> bool:
-        """Whether the ``n`` consecutive rows ending at ``end_step`` are held."""
-        if self.latest is None or end_step > self.latest:
-            return False
-        return end_step - n + 1 > self.latest - self.count
+    def covers(self, end_steps: np.ndarray, n: int) -> np.ndarray:
+        """Whether the ``n`` consecutive rows ending at each end step are held."""
+        if self.latest is None:
+            return np.zeros(len(end_steps), dtype=bool)
+        return (end_steps <= self.latest) & (end_steps - n + 1 > self.latest - self.count)
 
 
 class SegmentStateStore:
@@ -123,7 +170,9 @@ class SegmentStateStore:
     num_segments:
         Corridor length; observations and queries index into it.
     features:
-        Window geometry of the model being served (alpha, m, mask).
+        Window geometry of the model being served (alpha, m, mask); its
+        ``layout_for(num_segments)`` decides which rows feed each window
+        and which segments are servable.
     scalers:
         The model's train-fitted scalers — raw km/h, degrees and mm go in,
         model-scaled features come out.
@@ -148,13 +197,8 @@ class SegmentStateStore:
         self.num_segments = num_segments
         self.features = features
         self.scalers = scalers
-        # Graph-neighbourhood configs carry a row layout; corridor configs
-        # don't (duck-typed so repro.data.graph_features stays optional).
-        self._layout = getattr(features, "layout", None)
-        if self._layout is not None and self._layout.num_segments != num_segments:
-            raise ValueError(
-                f"layout covers {self._layout.num_segments} segments, store has {num_segments}"
-            )
+        # Which rows feed each window, and which segments are servable.
+        self.layout = features.layout_for(num_segments)
         self.interval_minutes = interval_minutes
         self.steps_per_day = (24 * 60) // interval_minutes
         capacity = features.alpha if capacity is None else capacity
@@ -180,23 +224,15 @@ class SegmentStateStore:
         """Validate and absorb one observation.
 
         Raises :class:`StaleObservationError` on out-of-order/duplicate
-        steps and :class:`StreamGapError` on skipped steps.
+        steps, :class:`StreamGapError` on skipped steps and
+        :class:`InvalidReadingError` on implausible values — all before
+        any state changes.
         """
         obs = observation
         self._check_segment(obs.segment_id)
         seg, step = obs.segment_id, obs.step
         latest = int(self._latest[seg])
-        if latest >= 0:
-            if step <= latest:
-                raise StaleObservationError(
-                    f"segment {seg}: observation for step {step} arrived after "
-                    f"step {latest} was already ingested (out of order)"
-                )
-            if step > latest + 1:
-                raise StreamGapError(
-                    f"segment {seg}: stream skipped steps {latest + 1}..{step - 1}; "
-                    f"call reset_segment({seg}) to restart the stream"
-                )
+        check_observation(obs, latest)
         slot = step % self._capacity
         self._speed_data[seg, slot] = obs.speed_kmh
         self._event_data[seg, slot] = float(obs.event)
@@ -271,49 +307,48 @@ class SegmentStateStore:
         minutes = (steps % self.steps_per_day) * self.interval_minutes
         return (minutes // 60).astype(np.float64)
 
-    def _readiness_error(self, segment_id: int) -> IncompleteWindowError | None:
-        """Why this segment's window cannot be assembled right now."""
-        alpha, m = self.features.alpha, self.features.m
-        if self._layout is None:
-            lo, hi = segment_id - m, segment_id + m
-            if lo < 0 or hi >= self.num_segments:
-                return IncompleteWindowError(
-                    f"segment {segment_id} needs {m} neighbours on each side "
+    def _readiness_errors(self, segments: np.ndarray) -> list[IncompleteWindowError | None]:
+        """Why each segment's window cannot be assembled right now (``None``: ready).
+
+        One vectorised rule: the layout marks the segment servable, its
+        own stream holds ``alpha`` consecutive steps ending at ``end``,
+        every real layout row holds the ``alpha`` steps ending at ``end``
+        (a row running ahead is fine while the ring still holds the
+        older slots), and the context ring covers the same steps.
+        """
+        alpha = self.features.alpha
+        ends = self._latest[segments]  # (B,)
+        counts = self._count[segments]
+        rows = self.layout.rows_array[segments]  # (B, R), -1 = padding
+        row_latest = self._latest[rows]  # padding reads the last segment; masked below
+        row_ok = (row_latest >= ends[:, None]) & (
+            self._count[rows] >= row_latest - ends[:, None] + alpha
+        )
+        servable = self.layout.servable[segments]
+        full = counts >= alpha  # also False for streams with no data (count 0)
+        fresh = (row_ok | (rows < 0)).all(axis=1)
+        covered = self._context.covers(ends, alpha)
+        errors: list[IncompleteWindowError | None] = [None] * len(segments)
+        for i in np.flatnonzero(~(servable & full & fresh & covered)):
+            segment, end = int(segments[i]), int(ends[i])
+            if not servable[i]:
+                m = self.features.m
+                message = (
+                    f"segment {segment} needs {m} neighbours on each side "
                     f"(corridor 0..{self.num_segments - 1}); edge segments are "
                     f"served by the naive fallback"
                 )
-            neighbour_rows = None
-        else:
-            # Graph layout: padding rows absorb short neighbourhoods, so
-            # there is no edge condition — only the real rows must be fresh.
-            row = self._layout.rows_array[segment_id]
-            neighbour_rows = row[row >= 0]
-        end = int(self._latest[segment_id])
-        if end < 0 or self._count[segment_id] < alpha:
-            have = max(int(self._count[segment_id]), 0) if end >= 0 else 0
-            return IncompleteWindowError(
-                f"segment {segment_id} has {have}/{alpha} consecutive observations"
-            )
-        # Each adjacent row needs the alpha steps ending at `end`: its stream
-        # must have reached `end` and its contiguous run must span back far
-        # enough (a neighbour running ahead is fine while the ring holds on
-        # to the older slots).
-        if neighbour_rows is None:
-            latest = self._latest[lo : hi + 1]
-            count = self._count[lo : hi + 1]
-        else:
-            latest = self._latest[neighbour_rows]
-            count = self._count[neighbour_rows]
-        if not ((latest >= end) & (count >= latest - end + alpha)).all():
-            return IncompleteWindowError(
-                f"a neighbour of segment {segment_id} lags it "
-                f"(no complete window ending at step {end})"
-            )
-        if not self._context.covers(end, alpha):
-            return IncompleteWindowError(
-                f"context channels incomplete for steps ending at {end}"
-            )
-        return None
+            elif not full[i]:
+                message = f"segment {segment} has {int(counts[i])}/{alpha} consecutive observations"
+            elif not fresh[i]:
+                message = (
+                    f"a neighbour of segment {segment} lags it "
+                    f"(no complete window ending at step {end})"
+                )
+            else:
+                message = f"context channels incomplete for steps ending at {end}"
+            errors[i] = IncompleteWindowError(message)
+        return errors
 
     def window(self, segment_id: int) -> WindowView:
         """One segment's window, or raise :class:`IncompleteWindowError`."""
@@ -334,45 +369,35 @@ class SegmentStateStore:
         batch).  Unknown segment ids still raise — that is a caller bug,
         not a stream condition.
 
-        Mirrors :func:`repro.data.features.build_features` exactly: the
-        adjacent-speed rows span ``segment_id - m .. segment_id + m``,
-        followed by the event / temperature / precipitation / hour rows,
-        with the factor mask's zero-filling applied.
+        Mirrors :func:`repro.data.features.build_graph_features` exactly:
+        the speed rows are the segment's layout rows (padding zeroed after
+        scaling), followed by the event / temperature / precipitation /
+        hour rows, with the factor mask's zero-filling applied.
         """
         cfg = self.features
         alpha, m = cfg.alpha, cfg.m
-        results: list[WindowView | IncompleteWindowError | None] = [None] * len(segment_ids)
-        ready_positions: list[int] = []
-        ready_segments: list[int] = []
-        for position, segment_id in enumerate(segment_ids):
-            self._check_segment(segment_id)
-            error = self._readiness_error(segment_id)
-            if error is not None:
-                results[position] = error
-            else:
-                ready_positions.append(position)
-                ready_segments.append(segment_id)
-        if not ready_segments:
+        requested = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
+        unknown = np.flatnonzero((requested < 0) | (requested >= self.num_segments))
+        if len(unknown):
+            self._check_segment(int(requested[unknown[0]]))
+        results: list = self._readiness_errors(requested)
+        ready_positions = [i for i, error in enumerate(results) if error is None]
+        if not ready_positions:
             return results  # type: ignore[return-value]
 
-        segments = np.asarray(ready_segments, dtype=np.int64)
+        segments = requested[ready_positions]
         ends = self._latest[segments]  # (B,)
         steps = ends[:, None] + np.arange(-(alpha - 1), 1)[None, :]  # (B, alpha)
         idx = steps % self._capacity
-        if self._layout is None:
-            rows = segments[:, None] + np.arange(-m, m + 1)[None, :]  # (B, 2m+1)
-            gather_rows = rows
-        else:
-            rows = self._layout.rows_array[segments]  # (B, num_rows), -1 = padding
-            gather_rows = np.maximum(rows, 0)  # padding rows read row 0, zeroed below
+        rows = self.layout.rows_array[segments]  # (B, R), -1 = padding
+        gather_rows = np.maximum(rows, 0)  # padding rows read row 0, zeroed below
 
         adj_kmh = self._speed_data[gather_rows[:, :, None], idx[:, None, :]]  # (B, R, alpha)
         event = self._event_data[segments[:, None], idx]  # (B, alpha)
         context = self._context.data[idx]  # (B, alpha, 6)
 
         adj = self.scalers.speed.transform(adj_kmh)
-        if self._layout is not None:
-            adj[rows < 0] = 0.0  # offline rule: zero padding after scaling
+        adj[rows < 0] = 0.0  # offline rule: zero padding after scaling
         temp = self.scalers.temperature.transform(context[:, :, _CTX_TEMP])
         precip = self.scalers.precipitation.transform(context[:, :, _CTX_PRECIP])
         hour = self._hours(steps) / 23.0

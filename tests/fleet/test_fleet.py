@@ -254,14 +254,15 @@ class TestSnapshotAggregation:
             ]
             assert snap["gate_quarantined_total"] == 0
 
-            # An implausible jump quarantines its segment inside one
-            # replica; the fleet-level aggregate surfaces it.
+            # An implausible jump (inside the plausible speed range, which
+            # ingest enforces) quarantines its segment inside one replica;
+            # the fleet-level aggregate surfaces it.
             previous = float(tiny_series.speeds[4, 2])
             fleet.ingest_many(
                 [
                     observation_at(tiny_series, segment, 3)
                     if segment != 4
-                    else Observation(4, 3, previous + 80.0)
+                    else Observation(4, 3, previous - 40.0)
                     for segment in range(tiny_series.num_segments)
                 ]
             )

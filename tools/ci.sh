@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI entrypoint: layering check, then the fast test suite.
+# Tier-1 CI entrypoint: layering check, smokes, the benchmark's traced
+# self-test, then the fast test suite.
 # Benchmarks (benchmarks/) are tier-2 and run separately.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,4 +14,6 @@ PYTHONPATH=src python tools/fleet_smoke.py
 PYTHONPATH=src python tools/mlops_smoke.py
 PYTHONPATH=src python tools/network_smoke.py
 PYTHONPATH=src python tools/network_train_smoke.py
+# The benchmark's patch points (perfbench/instrument.py) must survive refactors.
+python3 -m pytest perfbench/tests -q -k traced
 PYTHONPATH=src python -m pytest -x -q "$@"
