@@ -10,8 +10,12 @@ topology (:mod:`~repro.network.graph`), gravity-model OD demand
 
 The engine emits ordinary :class:`~repro.traffic.types.TrafficSeries`
 objects, so the existing feature pipeline, trainers, serving stack and
-fleet consume network scenarios unchanged; a corridor embedded via
-:func:`from_corridor` reproduces the corridor simulator bitwise.
+fleet consume network scenarios unchanged.  One engine,
+:class:`repro.traffic.simulator.TrafficSimulator`, draws every speed
+field; :class:`NetworkSimulator` adds demand weights, scenario
+schedules and bottleneck-junction queue spillback, so a corridor
+embedded via :func:`from_corridor` reproduces the corridor simulator
+bitwise.
 """
 
 from .demand import (

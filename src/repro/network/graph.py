@@ -52,13 +52,20 @@ class Junction:
     ``kind`` is a descriptive label derived from the junction's degree
     ("signal" for full arterial crossings, "merge"/"diverge" for
     three-way branches, "ramp" for two-way corners, "source"/"sink"/
-    "through" for path endpoints and interiors).
+    "through" for path endpoints and interiors).  The kind is physics
+    too: queues spill back only across bottleneck junctions ("merge",
+    "ramp", "signal"; see :data:`repro.network.waves.SPILL_JUNCTIONS`),
+    never across a "through" junction, a plain segment boundary.
     """
 
     junction_id: int
     kind: str
     x: float
     y: float
+
+    def __post_init__(self):
+        if self.kind not in _JUNCTION_KINDS:
+            raise ValueError(f"unknown junction kind {self.kind!r}")
 
 
 _JUNCTION_KINDS = ("source", "sink", "through", "ramp", "merge", "diverge", "signal")
@@ -71,9 +78,9 @@ class RoadGraph:
     ``tails[i]`` / ``heads[i]`` are the junctions segment ``i`` leaves
     from and flows into.  ``zone_of[i]`` assigns each segment to a
     demand zone (see :mod:`repro.network.demand`).  ``corridor`` is set
-    only by :func:`from_corridor` and marks the graph as a degenerate
-    path: the network simulator delegates such graphs to the corridor
-    engine so corridor output stays bitwise identical.
+    only by :func:`from_corridor`: it is the container a simulated
+    series rides on (:meth:`as_corridor`), so a corridor graph's series
+    carries the original corridor.  It plays no part in the physics.
     """
 
     segments: tuple[RoadSegment, ...]
@@ -525,9 +532,11 @@ def from_corridor(corridor: Corridor) -> RoadGraph:
     segments; segment ``i`` runs junction ``i -> i + 1``.  The BFS order
     of a path from segment 0 is the identity, so ids, adjacency and the
     ``±m`` window semantics coincide exactly with the corridor's index
-    arithmetic.  The returned graph carries ``corridor`` so
-    :class:`repro.network.waves.NetworkSimulator` can delegate to the
-    corridor engine (the bitwise-identity invariant pinned by tests).
+    arithmetic.  Every interior junction is ``"through"``, a plain
+    segment boundary that passes no queue spillback, so the network
+    simulator draws the corridor simulator's field bitwise (pinned by
+    tests).  The returned graph carries ``corridor`` so its series
+    rides on the original corridor object.
     """
     n = len(corridor)
     junctions = []

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..traffic.incidents import incident_profile, stamp_waves, upstream_waves
 from .graph import RoadGraph
 
 __all__ = [
@@ -158,53 +159,20 @@ class ModifierSchedule:
         )
 
 
-def _incident_profile(severity: float, duration_steps: int, recovery_steps: int) -> np.ndarray:
-    """Severity for the active phase, then a linear recovery ramp to 1."""
-    profile = np.ones(duration_steps + recovery_steps)
-    profile[:duration_steps] = severity
-    profile[duration_steps:] = np.linspace(severity, 1.0, recovery_steps + 1)[1:]
-    return profile
-
-
 def _apply_cascade(
     schedule: ModifierSchedule, graph: RoadGraph, cascade: IncidentCascade, total_steps: int
 ) -> None:
     if not 0 <= cascade.segment < len(graph):
         raise ValueError(f"cascade segment {cascade.segment} outside graph")
-    # Wave strengths: depth 0 full, depth d damped and split per branch.
-    waves: list[dict[int, float]] = [{cascade.segment: 1.0}]
-    reached = {cascade.segment}
-    for _ in range(cascade.cascade_depth):
-        frontier: dict[int, float] = {}
-        for segment, strength in sorted(waves[-1].items()):
-            ups = graph.upstream_of(segment)
-            if not ups:
-                continue
-            share = strength * cascade.cascade_decay / len(ups)
-            for up in ups:
-                if up in reached:
-                    continue
-                frontier[up] = max(frontier.get(up, 0.0), share)
-        if not frontier:
-            break
-        reached |= set(frontier)
-        waves.append(frontier)
-
+    waves = upstream_waves(graph, cascade.segment, cascade.cascade_depth, cascade.cascade_decay)
+    profile = incident_profile(cascade.severity, cascade.duration_steps, cascade.recovery_steps)
+    stamp_waves(
+        schedule.speed_factor, waves, profile, cascade.start_step, cascade.cascade_delay_steps
+    )
     for depth, wave in enumerate(waves):
         start = cascade.start_step + depth * cascade.cascade_delay_steps
-        if start >= total_steps:
-            continue
-        profile = _incident_profile(
-            cascade.severity, cascade.duration_steps, cascade.recovery_steps
-        )
-        stop = min(start + len(profile), total_steps)
-        window = profile[: stop - start]
-        for segment, strength in sorted(wave.items()):
-            damped = 1.0 - strength * (1.0 - window)
-            schedule.speed_factor[segment, start:stop] = np.minimum(
-                schedule.speed_factor[segment, start:stop], damped
-            )
-            active_stop = min(start + cascade.duration_steps, total_steps)
+        active_stop = min(start + cascade.duration_steps, total_steps)
+        for segment in wave:
             schedule.event_flags[segment, start:active_stop] = 1.0
 
 

@@ -15,7 +15,16 @@ import numpy as np
 
 from .types import SimulationConfig
 
-__all__ = ["Incident", "sample_incidents", "incident_masks"]
+__all__ = [
+    "Incident",
+    "sample_incidents",
+    "incident_profile",
+    "upstream_waves",
+    "stamp_waves",
+    "incident_masks",
+]
+
+_INCIDENT_REACH = 2  # hops an incident shockwave travels upstream
 
 
 @dataclass(frozen=True)
@@ -119,52 +128,91 @@ def sample_incidents(
     return incidents
 
 
+def incident_profile(severity: float, duration_steps: int, recovery_steps: int) -> np.ndarray:
+    """Severity for the active phase, then a linear recovery ramp to 1."""
+    profile = np.ones(duration_steps + recovery_steps)
+    profile[:duration_steps] = severity
+    profile[duration_steps:] = np.linspace(severity, 1.0, recovery_steps + 1)[1:]
+    return profile
+
+
+def upstream_waves(roads, segment: int, depth: int, decay: float) -> list[dict[int, float]]:
+    """Shockwave strength by hop upstream of ``segment``.
+
+    ``waves[d]`` maps each segment ``d`` hops upstream to its damping.
+    ``roads`` is anything answering ``upstream_of`` (a :class:`Corridor`
+    or a road graph).  Each hop multiplies the damping by ``decay`` and
+    divides it across the incoming branches (a merge splits the queue),
+    so on a path hop ``d`` carries ``decay**d``.  A segment is reached
+    once, at its nearest hop.
+    """
+    waves = [{segment: 1.0}]
+    reached = {segment}
+    for _ in range(depth):
+        frontier: dict[int, float] = {}
+        for seg, strength in sorted(waves[-1].items()):
+            ups = roads.upstream_of(seg)
+            for up in ups:
+                if up not in reached:
+                    frontier[up] = max(frontier.get(up, 0.0), strength * decay / len(ups))
+        if not frontier:
+            break
+        reached |= set(frontier)
+        waves.append(frontier)
+    return waves
+
+
+def stamp_waves(
+    factor: np.ndarray,
+    waves: list[dict[int, float]],
+    profile: np.ndarray,
+    start_step: int,
+    delay_steps: int,
+) -> None:
+    """Lower ``factor`` (S, T) in place by a damped, hop-delayed ``profile``.
+
+    Hop ``d`` starts ``d * delay_steps`` after ``start_step``; where
+    waves overlap the slower factor wins.
+    """
+    total_steps = factor.shape[1]
+    for depth, wave in enumerate(waves):
+        start = start_step + depth * delay_steps
+        if start >= total_steps:
+            continue
+        stop = min(start + len(profile), total_steps)
+        window = profile[: stop - start]
+        for segment, strength in wave.items():
+            hit = 1.0 - strength * (1.0 - window)
+            factor[segment, start:stop] = np.minimum(factor[segment, start:stop], hit)
+
+
 def incident_masks(
     incidents: list[Incident],
-    num_segments: int,
+    roads,
     total_steps: int,
     upstream_decay: float,
     delay_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand incidents into per-step arrays.
+    """Expand incidents into per-step arrays over ``roads``.
 
     Returns
     -------
     factor:
         (num_segments, T) multiplicative speed factor in (0, 1], combining
-        the direct hit, the linear recovery ramp, and damped, delayed
-        propagation to upstream segments (traffic queues grow backwards).
+        the direct hit, the linear recovery ramp, and a damped, delayed
+        shockwave ``_INCIDENT_REACH`` hops upstream (traffic queues grow
+        backwards; see :func:`upstream_waves`).
     flags:
         (num_segments, T) 0/1 event indicator: 1 only on the directly hit
         segment during the active phase (what an ITS event log records).
     """
-    factor = np.ones((num_segments, total_steps))
-    flags = np.zeros((num_segments, total_steps))
-
+    factor = np.ones((len(roads), total_steps))
+    flags = np.zeros((len(roads), total_steps))
     for incident in incidents:
-        profile_len = incident.duration_steps + incident.recovery_steps
-        profile = np.ones(profile_len)
-        profile[: incident.duration_steps] = incident.severity
-        ramp = np.linspace(incident.severity, 1.0, incident.recovery_steps + 1)[1:]
-        profile[incident.duration_steps :] = ramp
-
-        # Direct hit plus damped upstream shockwave (segments with lower index
-        # feed the hit segment, so the queue spills onto them with a delay).
-        reach = 2
-        for offset in range(0, reach + 1):
-            segment = incident.segment - offset
-            if segment < 0:
-                break
-            damping = upstream_decay**offset
-            start = incident.start_step + offset * delay_steps
-            stop = min(start + profile_len, total_steps)
-            if start >= total_steps:
-                continue
-            segment_profile = 1.0 - damping * (1.0 - profile[: stop - start])
-            factor[segment, start:stop] = np.minimum(factor[segment, start:stop], segment_profile)
-
-        active_stop = min(incident.end_step, total_steps)
-        if incident.start_step < total_steps:
-            flags[incident.segment, incident.start_step : active_stop] = 1.0
-
+        profile = incident_profile(
+            incident.severity, incident.duration_steps, incident.recovery_steps
+        )
+        waves = upstream_waves(roads, incident.segment, _INCIDENT_REACH, upstream_decay)
+        stamp_waves(factor, waves, profile, incident.start_step, delay_steps)
+        flags[incident.segment, incident.start_step : min(incident.end_step, total_steps)] = 1.0
     return factor, flags

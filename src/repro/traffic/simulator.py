@@ -1,8 +1,15 @@
-"""The corridor speed-field simulator.
+"""The speed-field engine: one ``run()`` for corridors and road networks.
 
 Produces the synthetic stand-in for the Hyundai Motor Company dataset:
 five-minute speeds on a linear expressway corridor, together with the
-weather, event and calendar channels APOTS consumes.
+weather, event and calendar channels APOTS consumes.  The engine reads
+its road layout only through adjacency — ``upstream_of`` for incident
+shockwaves and flash spill, ``neighbours`` for spatial smoothing — so
+a :class:`~repro.traffic.types.Corridor` (a path) and a
+:class:`repro.network.graph.RoadGraph` (a junction graph) draw their
+fields through the same body.  :class:`repro.network.waves.NetworkSimulator`
+subclasses it and adds only what a graph brings: demand weights, a
+compiled scenario schedule, and queue spillback at bottleneck junctions.
 
 The generative story, per timestep and segment:
 
@@ -23,6 +30,8 @@ The generative story, per timestep and segment:
 from __future__ import annotations
 
 import numpy as np
+from scipy.signal import lfilter
+from scipy.sparse import csr_matrix
 
 from .calendar import day_type_flags, is_weekend, timeline
 from .incidents import incident_masks, sample_incidents
@@ -38,9 +47,7 @@ def demand_profile(
     """Deterministic demand fraction of capacity for given clock times.
 
     Weekdays show two sharp rush-hour peaks; weekends and holidays a
-    single broad midday bulge at lower level.  Module-level so the
-    network engine (:mod:`repro.network.waves`) applies the identical
-    demand law; :meth:`TrafficSimulator.demand_profile` delegates here.
+    single broad midday bulge at lower level.
     """
     base = np.full_like(hour_fraction, cfg.base_demand)
     # Overnight lull.
@@ -62,191 +69,172 @@ def congestion_speed_factor(cfg: SimulationConfig, demand: np.ndarray) -> np.nda
 
     Below the knee traffic flows near free speed; above it the factor
     collapses steeply (the source of abrupt rush-hour decelerations).
-    Shared by the corridor and network engines.
     """
     ratio = np.maximum(demand, 0.0) / cfg.congestion_knee
     return 1.0 / (1.0 + ratio**cfg.congestion_gamma * 0.9)
 
 
+def _ar1(innovations: np.ndarray, rho: float) -> np.ndarray:
+    """``level = rho * level + innovation`` along the last axis, from zero."""
+    return lfilter([1.0], [1.0, -rho], innovations, axis=-1)
+
+
 class TrafficSimulator:
-    """Generates a :class:`TrafficSeries` from a config and corridor."""
+    """Draws a :class:`TrafficSeries` over a road layout.
+
+    ``corridor`` (kept as :attr:`roads`) is the layout: anything with
+    ``segments``, ``target_index``, ``upstream_of``, ``neighbours`` and
+    ``as_corridor``.  A :class:`Corridor` answers as a path; a
+    :class:`repro.network.graph.RoadGraph` answers through its
+    junctions.  Subclasses reshape the field through two hooks,
+    :meth:`_segment_demand` and :meth:`_shape_speeds`; the corridor
+    leaves both as they are.
+    """
 
     def __init__(self, config: SimulationConfig | None = None, corridor: Corridor | None = None):
         self.config = config if config is not None else SimulationConfig()
         rng = np.random.default_rng(self.config.seed)
-        self.corridor = corridor if corridor is not None else Corridor.gyeongbu(rng=rng)
+        self.roads = corridor if corridor is not None else Corridor.gyeongbu(rng=rng)
 
-    # ------------------------------------------------------------------
-    # Demand profile
-    # ------------------------------------------------------------------
-    def demand_profile(self, hour_fraction: np.ndarray, weekday: bool, holiday: bool) -> np.ndarray:
-        """Deterministic demand fraction of capacity for given clock times.
+    def _segment_demand(self, demand: np.ndarray, segment_bias: np.ndarray) -> np.ndarray:
+        """(S, T) demand before the physical clip: shared demand plus a per-segment bias."""
+        return demand + segment_bias[:, None]
 
-        Delegates to the module-level :func:`demand_profile` (shared
-        with the network engine).
-        """
-        return demand_profile(self.config, hour_fraction, weekday=weekday, holiday=holiday)
+    def _shape_speeds(self, speeds: np.ndarray, free_flow: np.ndarray) -> np.ndarray:
+        """Reshape the assembled (S, T) field before smoothing; a no-op here."""
+        return speeds
 
-    def congestion_speed_factor(self, demand: np.ndarray) -> np.ndarray:
-        """Map demand fraction to a multiplicative speed factor in (0, 1].
-
-        Delegates to the module-level :func:`congestion_speed_factor`
-        (shared with the network engine).
-        """
-        return congestion_speed_factor(self.config, demand)
-
-    def _flash_congestion(
-        self,
-        demand: np.ndarray,
-        num_segments: int,
-        total: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
+    def _flash_congestion(self, demand: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sudden short slowdowns with instant onset and release.
 
         Strikes only while demand is above ``flash_demand_threshold``
         (dense traffic is where stop-and-go waves form).  The sharp edges
         of these episodes are the dominant source of the abrupt
-        acceleration/deceleration samples the paper evaluates on.
+        acceleration/deceleration samples the paper evaluates on.  Each
+        flash spills mildly onto every upstream branch, split across
+        the branches.
         """
         cfg = self.config
-        factor = np.ones((num_segments, total))
-        expected = cfg.flash_rate_per_day * cfg.num_days
-        count = rng.poisson(expected)
+        total = len(demand)
+        factor = np.ones((len(self.roads), total))
+        count = rng.poisson(cfg.flash_rate_per_day * cfg.num_days)
         dense_steps = np.flatnonzero(demand >= cfg.flash_demand_threshold)
         if dense_steps.size == 0 or count == 0:
             return factor
-        starts = rng.choice(dense_steps, size=count)
-        for start in starts:
+        for start in rng.choice(dense_steps, size=count):
             if rng.random() < cfg.flash_target_bias:
-                seg = self.corridor.target_index
+                seg = self.roads.target_index
             else:
-                seg = int(rng.integers(0, num_segments))
+                seg = int(rng.integers(0, len(self.roads)))
             duration = int(
                 rng.integers(cfg.flash_duration_steps_low, cfg.flash_duration_steps_high + 1)
             )
             severity = float(rng.uniform(cfg.flash_severity_low, cfg.flash_severity_high))
             stop = min(start + duration, total)
             factor[seg, start:stop] = np.minimum(factor[seg, start:stop], severity)
-            # Mild spillback to the immediate upstream neighbour.
-            if seg - 1 >= 0 and start + 1 < total:
-                neighbour_stop = min(stop + 1, total)
-                damped = 1.0 - 0.45 * (1.0 - severity)
-                factor[seg - 1, start + 1 : neighbour_stop] = np.minimum(
-                    factor[seg - 1, start + 1 : neighbour_stop], damped
+            ups = self.roads.upstream_of(seg)
+            for up in ups:
+                damped = 1.0 - 0.45 * (1.0 - severity) / len(ups)
+                factor[up, start + 1 : stop + 1] = np.minimum(
+                    factor[up, start + 1 : stop + 1], damped
                 )
         return factor
 
-    # ------------------------------------------------------------------
+    def _spatial_smoothing(self, speeds: np.ndarray) -> np.ndarray:
+        """Pull each segment 18 % toward its neighbours' mean (queues leak).
+
+        A segment without neighbours pulls toward itself.
+        """
+        neighbours = [self.roads.neighbours(seg) or (seg,) for seg in range(len(self.roads))]
+        counts = np.array([len(n) for n in neighbours])
+        adjacency = csr_matrix(
+            (np.ones(counts.sum()), np.concatenate(neighbours), np.r_[0, np.cumsum(counts)]),
+            shape=(len(self.roads), len(self.roads)),
+        )
+        # Row sums accumulate in neighbour order, one ``+=`` per neighbour.
+        pull = adjacency @ speeds
+        pull /= counts[:, None]
+        pull *= 0.18
+        return 0.82 * speeds + pull
+
     def run(self) -> TrafficSeries:
         """Generate the full speed field and auxiliary channels."""
         cfg = self.config
+        roads = self.roads
         rng = np.random.default_rng(cfg.seed + 1)
         stamps = timeline(cfg.start_date, cfg.num_days, cfg.interval_minutes)
         total = len(stamps)
-        num_segments = len(self.corridor)
+        num_segments = len(roads)
 
-        # Calendar channels.
+        # Calendar channels and the day-type demand profile.
         hours = np.array([s.hour for s in stamps], dtype=np.float64)
         hour_fraction = np.array([s.hour + s.minute / 60.0 for s in stamps])
         day_types = np.empty((total, 4))
-        weekday_mask = np.empty(total, dtype=bool)
-        holiday_mask = np.empty(total, dtype=bool)
+        demand = np.empty(total)
         steps_per_day = cfg.steps_per_day
         for day_index in range(cfg.num_days):
             date = stamps[day_index * steps_per_day].date()
             flags = day_type_flags(date, cfg.holidays)
             sl = slice(day_index * steps_per_day, (day_index + 1) * steps_per_day)
             day_types[sl] = flags.as_array()
-            weekday_mask[sl] = date.weekday() < 5 and not flags.holiday
-            holiday_mask[sl] = flags.holiday or is_weekend(date)
+            demand[sl] = demand_profile(
+                cfg,
+                hour_fraction[sl],
+                weekday=date.weekday() < 5 and not flags.holiday,
+                holiday=flags.holiday and not is_weekend(date),
+            )
 
-        # Weather.
+        # Weather; rain adds demand-side friction.
         weather = WeatherModel(interval_minutes=cfg.interval_minutes)
         temperature, precipitation = weather.generate(stamps, rng)
-
-        # Demand per timestep (same for all segments up to noise).
-        demand = np.empty(total)
-        for day_index in range(cfg.num_days):
-            sl = slice(day_index * steps_per_day, (day_index + 1) * steps_per_day)
-            weekday = bool(weekday_mask[sl][0])
-            holiday = bool(holiday_mask[sl][0]) and not is_weekend(
-                stamps[day_index * steps_per_day].date()
-            )
-            is_off = not weekday
-            demand[sl] = self.demand_profile(hour_fraction[sl], weekday=not is_off, holiday=holiday)
-
-        # Rain adds demand-side friction.
-        rain_intensity = np.clip(precipitation / 1.0, 0.0, 1.0)
+        rain_intensity = np.clip(precipitation, 0.0, 1.0)
         demand = demand + cfg.rain_demand_boost * rain_intensity
 
-        # AR(1) demand noise shared across the corridor (regional fluctuation).
-        noise = np.empty(total)
-        level = 0.0
-        for i in range(total):
-            level = cfg.demand_noise_rho * level + rng.normal(0.0, cfg.demand_noise_std)
-            noise[i] = level
+        # AR(1) demand noise shared by every segment (regional fluctuation).
+        noise = _ar1(rng.normal(0.0, cfg.demand_noise_std, size=total), cfg.demand_noise_rho)
         demand = np.clip(demand + noise, 0.02, 1.2)
 
-        # Per-segment demand variation (on/off-ramps between segments).
+        # Per-segment demand variation (on/off-ramps, local access)
+        # through the congestion law, then rain.
         segment_bias = rng.normal(0.0, 0.03, size=num_segments)
+        seg_demand = np.clip(self._segment_demand(demand, segment_bias), 0.02, 1.2)
+        rain_factor = 1.0 - (1.0 - cfg.rain_speed_factor) * rain_intensity
+        free_flow = np.array([s.free_flow_kmh for s in roads.segments])
+        speeds = free_flow[:, None] * congestion_speed_factor(cfg, seg_demand) * rain_factor
 
-        # Incidents.
-        incidents = sample_incidents(cfg, num_segments, rng, self.corridor.target_index)
+        # Incidents, then flash congestion.  Each (S, T) factor is
+        # dropped once applied, so a long road never holds them all.
+        incidents = sample_incidents(cfg, num_segments, rng, roads.target_index)
         incident_factor, event_flags = incident_masks(
             incidents,
-            num_segments,
+            roads,
             total,
             upstream_decay=cfg.upstream_propagation_decay,
             delay_steps=cfg.propagation_delay_steps,
         )
+        speeds *= incident_factor
+        del seg_demand, incident_factor
+        speeds *= self._flash_congestion(demand, rng)
+        speeds = self._spatial_smoothing(self._shape_speeds(speeds, free_flow))
 
-        # Rain speed factor: heavy rain multiplies speed toward rain_speed_factor.
-        rain_factor = 1.0 - (1.0 - cfg.rain_speed_factor) * rain_intensity
-
-        # Flash congestion: sudden short slowdowns that release instantly.
-        flash_factor = self._flash_congestion(demand, num_segments, total, rng)
-
-        # Assemble the speed field.
-        free_flow = np.array([s.free_flow_kmh for s in self.corridor.segments])
-        speeds = np.empty((num_segments, total))
-        for seg in range(num_segments):
-            seg_demand = np.clip(demand + segment_bias[seg], 0.02, 1.2)
-            factor = self.congestion_speed_factor(seg_demand)
-            speeds[seg] = (
-                free_flow[seg] * factor * rain_factor * incident_factor[seg] * flash_factor[seg]
-            )
-
-        # Spatial smoothing: each segment pulled toward neighbours (queues leak).
-        smoothed = speeds.copy()
-        for seg in range(num_segments):
-            neighbours = [s for s in (seg - 1, seg + 1) if 0 <= s < num_segments]
-            mean_neighbour = np.mean([speeds[s] for s in neighbours], axis=0)
-            smoothed[seg] = 0.82 * speeds[seg] + 0.18 * mean_neighbour
-        speeds = smoothed
-
-        # AR(1) measurement noise per segment.
-        for seg in range(num_segments):
-            level = 0.0
-            ar_noise = np.empty(total)
-            innovations = rng.normal(0.0, cfg.speed_noise_std, size=total)
-            for i in range(total):
-                level = cfg.speed_noise_rho * level + innovations[i]
-                ar_noise[i] = level
-            speeds[seg] = speeds[seg] + ar_noise
+        # AR(1) measurement noise: one innovation stream per segment,
+        # drawn as one C-order (S, T) block.
+        speeds += _ar1(
+            rng.normal(0.0, cfg.speed_noise_std, size=(num_segments, total)), cfg.speed_noise_rho
+        )
 
         # Mild temporal smoothing so routine 5-min steps stay well within
         # +-30 %; genuine shocks (flash congestion, accident onsets) keep
         # most of their amplitude (matching the paper's reported maximum).
-        kernel = np.array([0.08, 0.84, 0.08])
-        for seg in range(num_segments):
-            padded = np.pad(speeds[seg], 1, mode="edge")
-            speeds[seg] = np.convolve(padded, kernel, mode="valid")
-
+        # Accumulated in place, left to right, to hold few (S, T) arrays.
+        padded = np.pad(speeds, ((0, 0), (1, 1)), mode="edge")
+        speeds = 0.08 * padded[:, :-2]
+        speeds += 0.84 * padded[:, 1:-1]
+        speeds += 0.08 * padded[:, 2:]
         speeds = np.clip(speeds, cfg.min_speed_kmh, cfg.max_speed_kmh)
 
         return TrafficSeries(
-            corridor=self.corridor,
+            corridor=roads.as_corridor(),
             speeds=speeds,
             temperature=temperature,
             precipitation=precipitation,

@@ -60,6 +60,19 @@ class Corridor:
     def target(self) -> RoadSegment:
         return self.segments[self.target_index]
 
+    # The adjacency the speed-field engine walks, answered as a path.
+    def upstream_of(self, segment_id: int) -> tuple[int, ...]:
+        """Segments feeding ``segment_id``: the one before it, if any."""
+        return (segment_id - 1,) if segment_id > 0 else ()
+
+    def neighbours(self, segment_id: int) -> tuple[int, ...]:
+        """Segments on either side of ``segment_id`` that exist."""
+        return tuple(s for s in (segment_id - 1, segment_id + 1) if 0 <= s < len(self.segments))
+
+    def as_corridor(self) -> "Corridor":
+        """The corridor a simulated series rides on: this one."""
+        return self
+
     def adjacent_indices(self, m: int) -> list[int]:
         """Indices of [target-m, ..., target, ..., target+m] (Eq 5 order)."""
         lo = self.target_index - m

@@ -165,6 +165,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown junction"):
             self.make(heads=(1, 9))
 
+    def test_rejects_unknown_junction_kind(self):
+        # The kind decides queue spillback, so a misspelt one must not pass.
+        with pytest.raises(ValueError, match="unknown junction kind"):
+            Junction(junction_id=0, kind="signl", x=0.0, y=0.0)
+
     def test_rejects_bad_zone(self):
         with pytest.raises(ValueError, match="zone_of"):
             self.make(zone_of=(0, 5))

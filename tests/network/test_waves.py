@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.network.waves` — the graph speed-field engine.
 
 The two load-bearing pins: (1) a ``from_corridor`` graph reproduces the
-corridor simulator **bitwise**, and (2) network runs are deterministic
+corridor simulator **bitwise** (one engine draws both), and (2) network runs are deterministic
 (same seed -> identical arrays; a fingerprint pin catches accidental
 changes to the draw order).
 """
@@ -20,9 +20,9 @@ from repro.network import (
     grid_city,
     simulate_network,
 )
-from repro.network.waves import QUEUE_MAX, SPILL_ONSET, _graph_incident_masks
+from repro.network.waves import QUEUE_MAX, SPILL_ONSET
 from repro.traffic import Corridor, simulate
-from repro.traffic.incidents import Incident
+from repro.traffic.incidents import Incident, incident_masks
 from repro.traffic.types import SimulationConfig
 
 
@@ -45,6 +45,17 @@ class TestCorridorInvariant:
         np.testing.assert_array_equal(reference.events, network.events)
         np.testing.assert_array_equal(reference.precipitation, network.precipitation)
         assert network.corridor is corridor
+
+    def test_unit_weights_keep_the_corridor_field(self, config):
+        """A corridor graph's physics do not depend on what is attached:
+        all-ones weights draw the corridor simulator's field bitwise."""
+        corridor = Corridor.gyeongbu(rng=np.random.default_rng(config.seed))
+        reference = simulate(config, corridor)
+        weighted = simulate_network(
+            from_corridor(corridor), config, demand_weights=np.ones(len(corridor))
+        )
+        np.testing.assert_array_equal(reference.speeds, weighted.speeds)
+        np.testing.assert_array_equal(reference.events, weighted.events)
 
     def test_scenario_breaks_delegation_but_not_shape(self, config):
         corridor = Corridor.gyeongbu(rng=np.random.default_rng(config.seed))
@@ -111,6 +122,11 @@ class TestDemandWeights:
             NetworkSimulator(graph, config, demand_weights=np.ones(3))
         with pytest.raises(ValueError, match="positive"):
             NetworkSimulator(graph, config, demand_weights=np.zeros(len(graph)))
+        for bad in (np.nan, np.inf):
+            weights = np.ones(len(graph))
+            weights[3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                NetworkSimulator(graph, config, demand_weights=weights)
 
 
 class TestScenarioCausality:
@@ -136,6 +152,21 @@ class TestScenarioCausality:
         # temporal kernel and spillback memory couple neighbours).
         assert abs(hit.speeds[:, :90] - baseline.speeds[:, :90]).max() < 1e-9
 
+    @pytest.mark.parametrize("kind", ["grid", "corridor"])
+    def test_pre_onset_columns_untouched(self, config, kind):
+        """Deltas are causal on every graph: a front starting at step 300
+        leaves the earlier columns bitwise alone (the temporal kernel
+        reaches one step back, so column 299 may move)."""
+        if kind == "grid":
+            graph = grid_city(4, 4, seed=0)
+        else:
+            graph = from_corridor(Corridor.gyeongbu(rng=np.random.default_rng(config.seed)))
+        scenario = Scenario("front", (WeatherFront(start_step=300, duration_steps=60),))
+        baseline = simulate_network(graph, config)
+        wet = simulate_network(graph, config, scenario=scenario)
+        np.testing.assert_array_equal(wet.speeds[:, :299], baseline.speeds[:, :299])
+        assert not np.array_equal(wet.speeds[:, 300:360], baseline.speeds[:, 300:360])
+
     def test_weather_front_feeds_precipitation_channel(self, config):
         graph = grid_city(4, 4, seed=0)
         scenario = Scenario("w", (WeatherFront(start_step=40, duration_steps=30),))
@@ -153,7 +184,7 @@ class TestGraphIncidentMasks:
         incident = Incident(segment=4, start_step=10, duration_steps=6,
                             recovery_steps=4, severity=0.5, kind="accident")
         decay, delay = 0.6, 2
-        factor, flags = _graph_incident_masks(graph, [incident], 60, decay, delay)
+        factor, flags = incident_masks([incident], graph, 60, decay, delay)
         # Depth d hits segment 4-d at start + d*delay with damping decay**d.
         for depth in range(3):
             segment = 4 - depth
@@ -170,7 +201,7 @@ class TestGraphIncidentMasks:
         assert len(ups) > 1  # central segment: a real merge
         incident = Incident(segment=seed, start_step=5, duration_steps=4,
                             recovery_steps=2, severity=0.5, kind="accident")
-        factor, _ = _graph_incident_masks(grid, [incident], 40, 0.7, 1)
+        factor, _ = incident_masks([incident], grid, 40, 0.7, 1)
         share = 0.7 / len(ups)
         for up in ups:
             assert factor[up, 6] == pytest.approx(1.0 - share * 0.5)
@@ -195,6 +226,17 @@ class TestQueueSpillback:
             assert out[up, steps - 1] < out[up, 0]
         # The reduction is bounded by the queue cap.
         assert (out >= speeds * (1.0 - QUEUE_MAX) - 1e-9).all()
+
+    def test_through_junctions_pass_no_queue(self):
+        """A corridor graph's junctions are plain segment boundaries:
+        a jam stays on its own segment."""
+        graph = from_corridor(Corridor.gyeongbu(num_segments=5, rng=np.random.default_rng(0)))
+        simulator = NetworkSimulator(graph, SimulationConfig(num_days=1))
+        free_flow = np.array([s.free_flow_kmh for s in graph.segments])
+        speeds = np.tile(free_flow[:, None], (1, 20)).astype(float)
+        speeds[3, :] = free_flow[3] * (1.0 - SPILL_ONSET - 0.3)
+        out = simulator._queue_spillback(speeds.copy(), free_flow)
+        np.testing.assert_array_equal(out, speeds)
 
     def test_free_flow_is_untouched(self):
         graph = grid_city(3, 3, seed=0)

@@ -4,8 +4,10 @@
 Four checks, all in seconds:
 
 1. **Corridor invariant** — a :func:`from_corridor` graph run through
-   :class:`NetworkSimulator` must reproduce :class:`TrafficSimulator`
-   output bitwise (the delegation contract the whole PR rests on).
+   :class:`NetworkSimulator`, bare and with all-ones demand weights,
+   must reproduce :func:`simulate` output bitwise (one engine draws
+   both, and a corridor graph's physics do not depend on what is
+   attached to it).
 2. **Determinism** — building the same grid city twice gives identical
    graphs (BFS-ordered), and two scenario runs at one seed give
    identical speed fields.
@@ -55,6 +57,11 @@ def check_corridor_invariant() -> None:
         "from_corridor network run must reproduce the corridor simulator bitwise"
     )
     assert np.array_equal(reference.events, network.events)
+    weighted = NetworkSimulator(graph, config, demand_weights=np.ones(len(graph))).run()
+    assert np.array_equal(reference.speeds, weighted.speeds), (
+        "all-ones demand weights on a from_corridor graph must keep the corridor field bitwise"
+    )
+    assert np.array_equal(reference.events, weighted.events)
     print("network_smoke: corridor bitwise invariant OK")
 
 
